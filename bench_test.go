@@ -373,8 +373,8 @@ func BenchmarkAblationCheckNew(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMerge compares SMJ's loser-tree k-way merge with the
-// binary-heap variant.
+// BenchmarkAblationMerge times SMJ's loser-tree k-way merge over full
+// lists (the binary-heap comparator it used to be set against is gone).
 func BenchmarkAblationMerge(b *testing.B) {
 	ds := benchDataset(b, experiments.Reuters)
 	smj, err := ds.Index.BuildSMJ(1.0)
@@ -382,21 +382,14 @@ func BenchmarkAblationMerge(b *testing.B) {
 		b.Fatal(err)
 	}
 	queries := ds.Queries(corpus.OpOR)
-	for _, heap := range []bool{false, true} {
-		name := "losertree"
-		if heap {
-			name = "heap"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, _, err := ds.Index.QuerySMJ(smj, rotate(queries, i),
-					topk.SMJOptions{K: experiments.K, UseHeapMerge: heap})
-				if err != nil {
-					b.Fatal(err)
-				}
+	b.Run("losertree", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_, _, err := ds.Index.QuerySMJ(smj, rotate(queries, i), topk.SMJOptions{K: experiments.K})
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkAblationFraction sweeps the partial-list fraction beyond the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"phrasemine/internal/corpus"
@@ -415,5 +416,48 @@ func TestSimitsisOnRealCorpus(t *testing.T) {
 		if want := e.Interestingness(r.Phrase, set); r.Score != want {
 			t.Fatalf("Simitsis score %v != exact %v for phrase %d", r.Score, want, r.Phrase)
 		}
+	}
+}
+
+// TestSMJCacheConcurrentFractions hammers Index.SMJ from several goroutines
+// at once over more fractions than the cache keeps, so slots are created,
+// built under their Once and evicted while other queries still read them.
+// Every answer must equal the one from a privately built copy, and the
+// cache must stay within its bound. Run under -race.
+func TestSMJCacheConcurrentFractions(t *testing.T) {
+	ix := buildTestIndex(t)
+	features := ix.Inverted.TopFeaturesByDocFreq(2)
+	q := corpus.NewQuery(corpus.OpOR, features...)
+	fracs := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 1}
+	want := make([][]topk.Result, len(fracs))
+	for i, frac := range fracs {
+		var err error
+		if want[i], _, err = ix.QuerySMJ(mustSMJ(ix, frac), q, topk.SMJOptions{K: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 40; round++ {
+				i := (g + round) % len(fracs)
+				smj, err := ix.SMJ(fracs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, _, err := ix.QuerySMJ(smj, q, topk.SMJOptions{K: 5})
+				if err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("frac %v: got %v (err %v), want %v", fracs[i], got, err, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := ix.MemStats().IDOrderedCopies; n != 1+MaxPartialSMJ {
+		t.Fatalf("%d ID-ordered copies resident, want the cache full at %d", n, 1+MaxPartialSMJ)
 	}
 }

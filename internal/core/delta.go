@@ -69,7 +69,7 @@ func (d *Delta) docPhrases(tokens []string) ([]phrasedict.PhraseID, error) {
 	for n := 1; n <= maxWords; n++ {
 		for s := 0; s+n <= len(tokens); s++ {
 			window := tokens[s : s+n]
-			if crossesBreak(window) {
+			if textproc.ContainsBreak(window) {
 				continue
 			}
 			id, ok, err := d.ix.Dict.ID(textproc.JoinPhrase(window))
@@ -88,32 +88,9 @@ func (d *Delta) docPhrases(tokens []string) ([]phrasedict.PhraseID, error) {
 	return out, nil
 }
 
-func crossesBreak(window []string) bool {
-	for _, t := range window {
-		if t == textproc.SentenceBreak {
-			return true
-		}
-	}
-	return false
-}
-
-// docFeatures lists the distinct features (words + facets) of a document.
-func docFeatures(doc corpus.Document) map[string]struct{} {
-	out := make(map[string]struct{}, len(doc.Tokens))
-	for _, t := range doc.Tokens {
-		if t != textproc.SentenceBreak {
-			out[t] = struct{}{}
-		}
-	}
-	for name, value := range doc.Facets {
-		out[corpus.FacetFeature(name, value)] = struct{}{}
-	}
-	return out
-}
-
 // apply folds one document's counts into the delta with the given sign.
 func (d *Delta) apply(doc corpus.Document, phrases []phrasedict.PhraseID, sign int) {
-	features := docFeatures(doc)
+	features := corpus.FeatureSet(doc)
 	for _, p := range phrases {
 		d.dDF[p] += sign
 		for f := range features {
@@ -283,10 +260,7 @@ func (c *mergeByIDCursor) Next() (plist.Entry, bool) {
 }
 func (c *mergeByIDCursor) Err() error { return c.inner.Err() }
 
-// QueryNRA answers a query with NRA over delta-adjusted lists. Per-keyword
-// cursor preparation (the extras scan over pending updates) fans out
-// through the index's bounded query pool; the delta is only read, so
-// concurrent preparation is safe.
+// QueryNRA answers a query with NRA over delta-adjusted lists.
 func (d *Delta) QueryNRA(q corpus.Query, opt topk.NRAOptions) ([]topk.Result, topk.NRAStats, error) {
 	if err := q.Validate(); err != nil {
 		return nil, topk.NRAStats{}, err
@@ -295,35 +269,16 @@ func (d *Delta) QueryNRA(q corpus.Query, opt topk.NRAOptions) ([]topk.Result, to
 	pool := d.ix.ScratchPool()
 	s := pool.Get()
 	defer pool.Put(s)
-	cursors := s.Cursors(len(q.Features))
-	errs := make([]error, len(q.Features))
-	d.ix.fanOut(len(q.Features), func(i int) {
-		f := q.Features[i]
-		inner, err := d.ix.featureScoreCursor(f)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		extras, err := d.extras(f)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		sort.Slice(extras, func(a, b int) bool {
-			if extras[a].Prob != extras[b].Prob {
-				return extras[a].Prob > extras[b].Prob
-			}
-			return extras[a].Phrase < extras[b].Phrase
-		})
-		cursors[i] = &chainCursor{
-			inner: &adjustedCursor{inner: inner, delta: d, feature: f},
-			tail:  extras,
-		}
+	cursors, err := d.ix.scoreCursors(s, q.Features, nil)
+	if err != nil {
+		return nil, topk.NRAStats{}, err
+	}
+	err = d.adjust(cursors, q.Features, func(inner plist.Cursor, extras []plist.Entry) plist.Cursor {
+		plist.SortScoreOrder(extras)
+		return &chainCursor{inner: inner, tail: extras}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, topk.NRAStats{}, err
-		}
+	if err != nil {
+		return nil, topk.NRAStats{}, err
 	}
 	return topk.NRAScratch(cursors, opt, s)
 }
@@ -337,32 +292,37 @@ func (d *Delta) QuerySMJ(s *SMJIndex, q corpus.Query, opt topk.SMJOptions) ([]to
 	pool := d.ix.ScratchPool()
 	scratch := pool.Get()
 	defer pool.Put(scratch)
-	cursors := scratch.Cursors(len(q.Features))
-	errs := make([]error, len(q.Features))
-	d.ix.fanOut(len(q.Features), func(i int) {
-		f := q.Features[i]
-		inner, err := d.ix.smjFeatureCursor(s, f)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		extras, err := d.extras(f)
-		if err != nil {
-			errs[i] = err
-			return
-		}
+	cursors, err := d.ix.idCursors(scratch, s, q.Features, nil)
+	if err != nil {
+		return nil, topk.SMJStats{}, err
+	}
+	err = d.adjust(cursors, q.Features, func(inner plist.Cursor, extras []plist.Entry) plist.Cursor {
 		sort.Slice(extras, func(a, b int) bool { return extras[a].Phrase < extras[b].Phrase })
-		cursors[i] = &mergeByIDCursor{
-			inner:  &adjustedCursor{inner: inner, delta: d, feature: f},
-			extras: extras,
-		}
+		return &mergeByIDCursor{inner: inner, extras: extras}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, topk.SMJStats{}, err
-		}
+	if err != nil {
+		return nil, topk.SMJStats{}, err
 	}
 	return topk.SMJScratch(cursors, opt, scratch)
+}
+
+// adjust wraps each feature's seated cursor, in place, in the delta's
+// probability adjustment, and hands it with the feature's delta-minted
+// extras to join, which orders the extras for its algorithm and returns the
+// cursor the query reads. The extras scan over pending updates fans out
+// per keyword through the index's bounded query pool; the delta is only
+// read, so concurrent preparation is safe.
+func (d *Delta) adjust(cursors []plist.Cursor, features []string, join func(inner plist.Cursor, extras []plist.Entry) plist.Cursor) error {
+	errs := make([]error, len(features))
+	d.ix.fanOut(len(features), func(i int) {
+		extras, err := d.extras(features[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		cursors[i] = join(&adjustedCursor{inner: cursors[i], delta: d, feature: features[i]}, extras)
+	})
+	return firstError(errs)
 }
 
 // Flush rebuilds the index offline over the updated corpus (base documents

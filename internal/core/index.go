@@ -118,6 +118,13 @@ type Index struct {
 	baseMu sync.Mutex
 	gm     *baseline.GM
 	exact  *baseline.Exact
+
+	// idMu guards the per-fraction cache of ID-ordered list copies (see
+	// SMJ): slot lookup, the LRU clock and eviction. Each slot builds under
+	// its own Once, outside the mutex.
+	idMu     sync.Mutex
+	idCopies map[float64]*idCopy
+	idClock  uint64
 }
 
 // Build constructs every index structure from the corpus. With
@@ -359,32 +366,6 @@ func (ix *Index) PhraseText(id phrasedict.PhraseID) (string, error) {
 	return ix.Dict.Phrase(id)
 }
 
-// featureList fetches the score-ordered list for a query feature. Missing
-// features are empty lists when the build covered the whole vocabulary
-// (the feature simply does not occur); under a restricted build they are
-// an error, because silence would silently mis-answer the query.
-func (ix *Index) featureList(f string) (plist.ScoreList, error) {
-	l, ok := ix.Lists[f]
-	if !ok && ix.restricted && ix.Inverted.Has(f) {
-		return nil, fmt.Errorf("core: no list built for feature %q (restricted build)", f)
-	}
-	return l, nil
-}
-
-// featureBlockList is featureList for a compressed index: it returns the
-// feature's block-compressed list view (empty when the feature never
-// occurs), with the same restricted-build error semantics.
-func (ix *Index) featureBlockList(f string) (plist.BlockList, error) {
-	l, err := ix.Blocks.List(f)
-	if err != nil {
-		return plist.BlockList{}, err
-	}
-	if l.Len() == 0 && !ix.Blocks.Has(f) && ix.restricted && ix.Inverted.Has(f) {
-		return plist.BlockList{}, fmt.Errorf("core: no list built for feature %q (restricted build)", f)
-	}
-	return l, nil
-}
-
 // ScoreLists returns the full score-ordered lists, decoding them from the
 // compressed block set when the index runs compressed. The decode
 // materializes every list, so this is for cold paths (SMJ index builds,
@@ -468,6 +449,10 @@ type MemStats struct {
 	// combined); zero on varint-only or uncompressed indexes.
 	PackedBlocks int   `json:"packed_blocks,omitempty"`
 	PackedBytes  int64 `json:"packed_bytes,omitempty"`
+	// IDOrderedCopies counts the resident ID-ordered copies of the lists
+	// (one per cached SMJ fraction, see Index.SMJ; summed over segments),
+	// each a second physical index beside the footprint above.
+	IDOrderedCopies int `json:"id_ordered_copies,omitempty"`
 }
 
 // entryHeapSize is the in-memory footprint of one uncompressed list entry
@@ -500,6 +485,9 @@ func (ix *Index) MemStats() MemStats {
 	s.PackedBytes += pBytes
 	s.Mapped = ix.Mapped()
 	s.MappedBytes = ix.mappedBytes
+	ix.idMu.Lock()
+	s.IDOrderedCopies = len(ix.idCopies)
+	ix.idMu.Unlock()
 	return s
 }
 
@@ -546,6 +534,117 @@ func (ix *Index) Exact() (*baseline.Exact, error) {
 		ix.exact = e
 	}
 	return ix.exact, nil
+}
+
+// SMJIndex holds phrase-ID-ordered lists truncated to a fixed fraction —
+// the construction-time partial lists of Section 4.4.1 ("once the
+// ID-ordered lists have been constructed using a pre-specified fraction,
+// we cannot, at run-time, decide to work with a larger or smaller one").
+// Exactly one of Lists (raw slices) and Blocks (block-compressed, for
+// compressed indexes) is populated.
+type SMJIndex struct {
+	Fraction float64
+	Lists    map[string]plist.IDList
+	Blocks   *plist.BlockSet
+}
+
+// BuildSMJ materializes an SMJ index at the given fraction from the full
+// score-ordered lists, fanning the per-feature copy+sort across the
+// index's worker bound. On a compressed index the score lists are decoded
+// once here (a construction-time cost, like the sort itself) and the
+// resulting ID-ordered lists are re-compressed, so the SMJ index inherits
+// the compact layout. Serving paths go through the cached SMJ accessor.
+func (ix *Index) BuildSMJ(fraction float64) (*SMJIndex, error) {
+	if ix.Blocks != nil {
+		// A block set that passed open-time validation only fails decode
+		// on corruption; queries against the SMJ index would surface the
+		// same corruption, so classify it here.
+		lists, err := ix.Blocks.DecodeAllScoreLists()
+		if err != nil {
+			return nil, diskio.Corruptf("core: decoding compressed lists for SMJ build: %v", err)
+		}
+		idLists := plist.ToIDOrderedAllParallel(plist.TruncateAll(lists, fraction), ix.workers)
+		blocks, err := plist.BuildIDBlockSetCodec(idLists, ix.opts.Codec)
+		if err != nil {
+			return nil, diskio.Corruptf("core: compressing SMJ lists: %v", err)
+		}
+		return &SMJIndex{Fraction: fraction, Blocks: blocks}, nil
+	}
+	return &SMJIndex{
+		Fraction: fraction,
+		Lists:    plist.ToIDOrderedAllParallel(plist.TruncateAll(ix.Lists, fraction), ix.workers),
+	}, nil
+}
+
+// MaxPartialSMJ caps how many partial-fraction (< 1) ID-ordered copies an
+// Index keeps resident beside the full-list one. Each copy is a second
+// physical index the size of its fraction of the list section and the
+// fraction is chosen by the caller (over HTTP, by the client), so the
+// cache must not grow with the number of distinct values seen.
+const MaxPartialSMJ = 4
+
+// idCopy lazily holds the ID-ordered copy for one fraction; the Once lets
+// concurrent first queries at different fractions build in parallel. A
+// build failure (corrupt compressed lists) is cached in err, so every
+// query against the slot observes the same outcome.
+type idCopy struct {
+	once sync.Once
+	smj  *SMJIndex
+	err  error
+	used uint64 // idClock at the last lookup, guarded by Index.idMu
+}
+
+// SMJ returns the (lazily built, cached) ID-ordered copy of the lists at a
+// fraction. The full-list copy (fraction 1) stays for the index's
+// lifetime; at most MaxPartialSMJ partial fractions stay beside it, the
+// least recently used making room for a new one (a query still holding an
+// evicted copy keeps using it; it is only no longer shared). Fractions
+// outside (0, 1) — NaN included — select the full lists, so no caller can
+// mint cache keys that never compare equal.
+func (ix *Index) SMJ(fraction float64) (*SMJIndex, error) {
+	if !(fraction > 0 && fraction < 1) {
+		fraction = 1
+	}
+	ix.idMu.Lock()
+	slot := ix.idCopies[fraction]
+	if slot == nil {
+		if ix.idCopies == nil {
+			ix.idCopies = map[float64]*idCopy{}
+		}
+		if fraction != 1 {
+			ix.evictPartialLocked()
+		}
+		slot = &idCopy{}
+		ix.idCopies[fraction] = slot
+	}
+	ix.idClock++
+	slot.used = ix.idClock
+	ix.idMu.Unlock()
+	slot.once.Do(func() {
+		slot.smj, slot.err = ix.BuildSMJ(fraction)
+	})
+	return slot.smj, slot.err
+}
+
+// evictPartialLocked drops the least recently used partial-fraction
+// slot when MaxPartialSMJ of them are resident.
+func (ix *Index) evictPartialLocked() {
+	var (
+		partials int
+		oldest   float64
+	)
+	for f, s := range ix.idCopies {
+		if f == 1 {
+			continue
+		}
+		if partials == 0 || s.used < ix.idCopies[oldest].used {
+			oldest = f
+		}
+		partials++
+	}
+	if partials >= MaxPartialSMJ {
+		delete(ix.idCopies, oldest)
+	}
 }
 
 // Simitsis builds the phrase-list baseline with the given pool multiple.

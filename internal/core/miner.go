@@ -50,55 +50,97 @@ func (ix *Index) Resolve(results []topk.Result, q corpus.Query) ([]MinedPhrase, 
 	return out, nil
 }
 
-// QueryNRA answers a query with the NRA algorithm over in-memory
-// score-ordered lists. Partial-list operation is selected through
-// opt.Fraction (a query-time decision for NRA). Candidate tables and
-// cursors come from the index's scratch pool, so repeated queries run
-// allocation-free apart from the returned results. On a compressed index
-// the cursors decode blocks on demand — straight out of the mapped region
-// when the snapshot was opened with OpenSnapshotFile — into pooled scratch
-// buffers; results are bit-identical to the uncompressed path.
-func (ix *Index) QueryNRA(q corpus.Query, opt topk.NRAOptions) ([]topk.Result, topk.NRAStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, topk.NRAStats{}, err
-	}
-	opt.Op = q.Op
-	pool := ix.ScratchPool()
-	s := pool.Get()
-	defer pool.Put(s)
-	if ix.Blocks != nil {
-		cursors, blk := s.BlockCursors(len(q.Features))
-		for i, f := range q.Features {
-			l, err := ix.featureBlockList(f)
-			if err != nil {
-				return nil, topk.NRAStats{}, err
+// seatCursors is the one place that turns query features into cursors. It
+// seats one of s's pooled cursors on each feature's list — memory cursors
+// over raw slices or block cursors over the compressed set, whichever of
+// the two holds the lists — so repeated queries allocate nothing here. With
+// sc non-nil, block decodes go through the shared-scan cache under
+// keyPrefix+feature; raw lists have nothing to decode and ignore it. The
+// returned slice belongs to s.
+func seatCursors[L ~[]plist.Entry](ix *Index, s *topk.Scratch, raw map[string]L, blocks *plist.BlockSet, features []string, sc *plist.ShareCache, keyPrefix string) ([]plist.Cursor, error) {
+	if blocks == nil {
+		cursors, mem := s.MemCursors(len(features))
+		for i, f := range features {
+			l, ok := raw[f]
+			if !ok {
+				if err := ix.unbuilt(f); err != nil {
+					return nil, err
+				}
 			}
-			blk[i].Reset(l)
-			cursors[i] = &blk[i]
+			mem[i].Reset(l)
+			cursors[i] = &mem[i]
 		}
-		return topk.NRAScratch(cursors, opt, s)
+		return cursors, nil
 	}
-	cursors, mem := s.MemCursors(len(q.Features))
-	for i, f := range q.Features {
-		l, err := ix.featureList(f)
+	cursors, blk := s.BlockCursors(len(features))
+	for i, f := range features {
+		l, err := blocks.List(f)
 		if err != nil {
-			return nil, topk.NRAStats{}, err
+			return nil, err
 		}
-		mem[i].Reset(l)
-		cursors[i] = &mem[i]
+		if l.Len() == 0 && !blocks.Has(f) {
+			if err := ix.unbuilt(f); err != nil {
+				return nil, err
+			}
+		}
+		if sc != nil {
+			blk[i].ResetShared(l, keyPrefix+f, sc)
+		} else {
+			blk[i].Reset(l)
+		}
+		cursors[i] = &blk[i]
 	}
-	return topk.NRAScratch(cursors, opt, s)
+	return cursors, nil
 }
 
-// QueryNRAShared is QueryNRA for shared-scan batch execution: block
-// decodes go through sc so that concurrent queries over the same
-// feature lists decode each block once. It requires a compressed index
-// (Blocks != nil) and a non-nil cache; callers fall back to QueryNRA
-// otherwise. Results are bit-identical to QueryNRA.
-func (ix *Index) QueryNRAShared(q corpus.Query, opt topk.NRAOptions, sc *plist.ShareCache) ([]topk.Result, topk.NRAStats, error) {
-	if ix.Blocks == nil || sc == nil {
-		return ix.QueryNRA(q, opt)
+// unbuilt refuses a feature that has no list although it occurs in the
+// corpus, which only a restricted build (BuildOptions.ListFeatures) can
+// produce: silence would mis-answer the query. A feature that occurs
+// nowhere is simply an empty list.
+func (ix *Index) unbuilt(f string) error {
+	if ix.restricted && ix.Inverted.Has(f) {
+		return fmt.Errorf("core: no list built for feature %q (restricted build)", f)
 	}
+	return nil
+}
+
+// scoreCursors seats score-ordered cursors (NRA, Algorithm 1) over the
+// index's own lists; sc nil decodes privately.
+func (ix *Index) scoreCursors(s *topk.Scratch, features []string, sc *plist.ShareCache) ([]plist.Cursor, error) {
+	return seatCursors(ix, s, ix.Lists, ix.Blocks, features, sc, "n\x00")
+}
+
+// idCursors seats ID-ordered cursors (SMJ, Algorithm 2) over a prepared
+// SMJ index of this index; sc nil decodes privately. The fraction is part
+// of the share key because SMJ indexes at different fractions hold
+// different physical lists for the same feature.
+func (ix *Index) idCursors(s *topk.Scratch, smj *SMJIndex, features []string, sc *plist.ShareCache) ([]plist.Cursor, error) {
+	keyPrefix := ""
+	if sc != nil {
+		var fb [8]byte
+		binary.LittleEndian.PutUint64(fb[:], math.Float64bits(smj.Fraction))
+		keyPrefix = "s\x00" + string(fb[:]) + "\x00"
+	}
+	return seatCursors(ix, s, smj.Lists, smj.Blocks, features, sc, keyPrefix)
+}
+
+// QueryNRA answers a query with the NRA algorithm over the score-ordered
+// lists. Partial-list operation is selected through opt.Fraction (a
+// query-time decision for NRA). Candidate tables and cursors come from the
+// index's scratch pool, so repeated queries run allocation-free apart from
+// the returned results. On a compressed index the cursors decode blocks on
+// demand — straight out of the mapped region when the snapshot was opened
+// with OpenSnapshotFile — into pooled scratch buffers; results are
+// bit-identical to the uncompressed path.
+func (ix *Index) QueryNRA(q corpus.Query, opt topk.NRAOptions) ([]topk.Result, topk.NRAStats, error) {
+	return ix.QueryNRAShared(q, opt, nil)
+}
+
+// QueryNRAShared is QueryNRA for shared-scan batch execution: with sc
+// non-nil on a compressed index, block decodes go through sc so that
+// concurrent queries over the same feature lists decode each block once.
+// Results are bit-identical to QueryNRA.
+func (ix *Index) QueryNRAShared(q corpus.Query, opt topk.NRAOptions, sc *plist.ShareCache) ([]topk.Result, topk.NRAStats, error) {
 	if err := q.Validate(); err != nil {
 		return nil, topk.NRAStats{}, err
 	}
@@ -106,14 +148,9 @@ func (ix *Index) QueryNRAShared(q corpus.Query, opt topk.NRAOptions, sc *plist.S
 	pool := ix.ScratchPool()
 	s := pool.Get()
 	defer pool.Put(s)
-	cursors, blk := s.BlockCursors(len(q.Features))
-	for i, f := range q.Features {
-		l, err := ix.featureBlockList(f)
-		if err != nil {
-			return nil, topk.NRAStats{}, err
-		}
-		blk[i].ResetShared(l, "n\x00"+f, sc)
-		cursors[i] = &blk[i]
+	cursors, err := ix.scoreCursors(s, q.Features, sc)
+	if err != nil {
+		return nil, topk.NRAStats{}, err
 	}
 	return topk.NRAScratch(cursors, opt, s)
 }
@@ -133,8 +170,10 @@ func (ix *Index) QueryNRADisk(r *plist.Reader, q corpus.Query, opt topk.NRAOptio
 	defer pool.Put(s)
 	cursors := s.Cursors(len(q.Features))
 	for i, f := range q.Features {
-		if !r.Has(f) && ix.restricted && ix.Inverted.Has(f) {
-			return nil, topk.NRAStats{}, fmt.Errorf("core: disk index has no list for %q", f)
+		if !r.Has(f) {
+			if err := ix.unbuilt(f); err != nil {
+				return nil, topk.NRAStats{}, err
+			}
 		}
 		cursors[i] = r.Cursor(f)
 	}
@@ -169,85 +208,6 @@ func (w *writerBuffer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// SMJIndex holds phrase-ID-ordered lists truncated to a fixed fraction —
-// the construction-time partial lists of Section 4.4.1 ("once the
-// ID-ordered lists have been constructed using a pre-specified fraction,
-// we cannot, at run-time, decide to work with a larger or smaller one").
-// Exactly one of Lists (raw slices) and Blocks (block-compressed, for
-// compressed indexes) is populated.
-type SMJIndex struct {
-	Fraction float64
-	Lists    map[string]plist.IDList
-	Blocks   *plist.BlockSet
-}
-
-// BuildSMJ materializes an SMJ index at the given fraction from the full
-// score-ordered lists, fanning the per-feature copy+sort across the
-// index's worker bound. On a compressed index the score lists are decoded
-// once here (a construction-time cost, like the sort itself) and the
-// resulting ID-ordered lists are re-compressed, so the SMJ index inherits
-// the compact layout.
-func (ix *Index) BuildSMJ(fraction float64) (*SMJIndex, error) {
-	if ix.Blocks != nil {
-		// A block set that passed open-time validation only fails decode
-		// on corruption; queries against the SMJ index would surface the
-		// same corruption, so classify it here.
-		lists, err := ix.Blocks.DecodeAllScoreLists()
-		if err != nil {
-			return nil, diskio.Corruptf("core: decoding compressed lists for SMJ build: %v", err)
-		}
-		idLists := plist.ToIDOrderedAllParallel(plist.TruncateAll(lists, fraction), ix.workers)
-		blocks, err := plist.BuildIDBlockSetCodec(idLists, ix.opts.Codec)
-		if err != nil {
-			return nil, diskio.Corruptf("core: compressing SMJ lists: %v", err)
-		}
-		return &SMJIndex{Fraction: fraction, Blocks: blocks}, nil
-	}
-	return &SMJIndex{
-		Fraction: fraction,
-		Lists:    plist.ToIDOrderedAllParallel(plist.TruncateAll(ix.Lists, fraction), ix.workers),
-	}, nil
-}
-
-// featureScoreCursor returns a fresh cursor over the feature's full
-// score-ordered list from whichever backing store the index uses — raw
-// slices or compressed blocks. It allocates; the scratch-pooled paths in
-// QueryNRA are for the no-delta hot path, while delta queries (which wrap
-// cursors in adjustment layers anyway) use this.
-func (ix *Index) featureScoreCursor(f string) (plist.Cursor, error) {
-	if ix.Blocks != nil {
-		l, err := ix.featureBlockList(f)
-		if err != nil {
-			return nil, err
-		}
-		return plist.NewBlockCursor(l), nil
-	}
-	l, err := ix.featureList(f)
-	if err != nil {
-		return nil, err
-	}
-	return plist.NewMemCursor(l), nil
-}
-
-// smjFeatureCursor is featureScoreCursor for a prepared SMJ index.
-func (ix *Index) smjFeatureCursor(s *SMJIndex, f string) (plist.Cursor, error) {
-	if s.Blocks != nil {
-		l, err := s.Blocks.List(f)
-		if err != nil {
-			return nil, err
-		}
-		if !s.Blocks.Has(f) && ix.restricted && ix.Inverted.Has(f) {
-			return nil, fmt.Errorf("core: SMJ index has no list for %q", f)
-		}
-		return plist.NewBlockCursor(l), nil
-	}
-	l, ok := s.Lists[f]
-	if !ok && ix.restricted && ix.Inverted.Has(f) {
-		return nil, fmt.Errorf("core: SMJ index has no list for %q", f)
-	}
-	return plist.NewMemCursor(l), nil
-}
-
 // fanOut runs fn(i) for i in [0, n) through the index's bounded query
 // pool, or inline when the index was built single-threaded (or n is
 // trivial). Used for per-keyword list preparation on multi-keyword
@@ -262,71 +222,18 @@ func (ix *Index) fanOut(n int, fn func(i int)) {
 	ix.pool.RunN(n, fn)
 }
 
-// SizeBytes reports the serialized size of the SMJ index's lists at the
-// paper's 12-bytes-per-entry accounting.
-func (s *SMJIndex) SizeBytes() int64 {
-	if s.Blocks != nil {
-		return plist.SizeBytes(s.Blocks.TotalEntries())
-	}
-	return plist.SizeBytes(plist.TotalEntries(s.Lists))
-}
-
 // QuerySMJ answers a query with the SMJ algorithm over a prepared
 // ID-ordered index. Merger state and cursors come from the index's scratch
 // pool, so repeated queries run allocation-free apart from the returned
 // results.
 func (ix *Index) QuerySMJ(s *SMJIndex, q corpus.Query, opt topk.SMJOptions) ([]topk.Result, topk.SMJStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, topk.SMJStats{}, err
-	}
-	opt.Op = q.Op
-	pool := ix.ScratchPool()
-	scratch := pool.Get()
-	defer pool.Put(scratch)
-	if s.Blocks != nil {
-		cursors, blk := scratch.BlockCursors(len(q.Features))
-		for i, f := range q.Features {
-			l, err := s.Blocks.List(f)
-			if err != nil {
-				return nil, topk.SMJStats{}, err
-			}
-			if !s.Blocks.Has(f) && ix.restricted && ix.Inverted.Has(f) {
-				return nil, topk.SMJStats{}, fmt.Errorf("core: SMJ index has no list for %q", f)
-			}
-			blk[i].Reset(l)
-			cursors[i] = &blk[i]
-		}
-		return topk.SMJScratch(cursors, opt, scratch)
-	}
-	cursors, mem := scratch.MemCursors(len(q.Features))
-	for i, f := range q.Features {
-		l, ok := s.Lists[f]
-		if !ok && ix.restricted && ix.Inverted.Has(f) {
-			return nil, topk.SMJStats{}, fmt.Errorf("core: SMJ index has no list for %q", f)
-		}
-		mem[i].Reset(l)
-		cursors[i] = &mem[i]
-	}
-	return topk.SMJScratch(cursors, opt, scratch)
+	return ix.QuerySMJShared(s, q, opt, nil)
 }
 
-// smjShareKey builds the share-cache key for an SMJ feature list. The
-// fraction is part of the key because SMJ indexes at different fractions
-// hold different physical lists for the same feature.
-func smjShareKey(fraction float64, f string) string {
-	var fb [8]byte
-	binary.LittleEndian.PutUint64(fb[:], math.Float64bits(fraction))
-	return "s\x00" + string(fb[:]) + "\x00" + f
-}
-
-// QuerySMJShared is QuerySMJ for shared-scan batch execution, decoding
-// blocks through sc. It requires a block-compressed SMJ index and a
-// non-nil cache; callers fall back to QuerySMJ otherwise. Results are
-// bit-identical to QuerySMJ.
+// QuerySMJShared is QuerySMJ for shared-scan batch execution: with sc
+// non-nil on a block-compressed SMJ index, blocks decode through sc.
+// Results are bit-identical to QuerySMJ.
 func (ix *Index) QuerySMJShared(s *SMJIndex, q corpus.Query, opt topk.SMJOptions, sc *plist.ShareCache) ([]topk.Result, topk.SMJStats, error) {
-	if s.Blocks == nil || sc == nil {
-		return ix.QuerySMJ(s, q, opt)
-	}
 	if err := q.Validate(); err != nil {
 		return nil, topk.SMJStats{}, err
 	}
@@ -334,17 +241,9 @@ func (ix *Index) QuerySMJShared(s *SMJIndex, q corpus.Query, opt topk.SMJOptions
 	pool := ix.ScratchPool()
 	scratch := pool.Get()
 	defer pool.Put(scratch)
-	cursors, blk := scratch.BlockCursors(len(q.Features))
-	for i, f := range q.Features {
-		l, err := s.Blocks.List(f)
-		if err != nil {
-			return nil, topk.SMJStats{}, err
-		}
-		if !s.Blocks.Has(f) && ix.restricted && ix.Inverted.Has(f) {
-			return nil, topk.SMJStats{}, fmt.Errorf("core: SMJ index has no list for %q", f)
-		}
-		blk[i].ResetShared(l, smjShareKey(s.Fraction, f), sc)
-		cursors[i] = &blk[i]
+	cursors, err := ix.idCursors(scratch, s, q.Features, sc)
+	if err != nil {
+		return nil, topk.SMJStats{}, err
 	}
 	return topk.SMJScratch(cursors, opt, scratch)
 }

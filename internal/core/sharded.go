@@ -111,14 +111,6 @@ type ShardedIndex struct {
 	pool     *topk.Pool
 	scratch  *topk.ScratchPool
 
-	// smjMu guards the map of lazily built per-segment ID-ordered list
-	// caches, keyed by fraction like the Miner's monolithic SMJ cache. The
-	// mutex covers only slot lookup; each slot builds under its own Once,
-	// so concurrent queries build different segments' caches in parallel
-	// instead of serializing on one engine-wide lock after a flush.
-	smjMu    sync.Mutex
-	smjCache map[float64][]*smjSlot
-
 	// globMu guards the map of per-feature globalized-list slots: per-
 	// segment score lists rescaled to the global document frequency (the
 	// additive partial scores of the adaptive NRA scatter), built once per
@@ -165,10 +157,9 @@ func BuildSharded(c *corpus.Corpus, opt BuildOptions, segments int) (*ShardedInd
 	workers := parallel.Workers(opt.Workers)
 	ranges := parallel.Shards(c.Len(), segments)
 	sx := &ShardedIndex{
-		opts:     opt,
-		workers:  workers,
-		pool:     topk.NewPool(workers),
-		smjCache: map[float64][]*smjSlot{},
+		opts:    opt,
+		workers: workers,
+		pool:    topk.NewPool(workers),
 	}
 	sx.segs = make([]*segment, len(ranges))
 	for i, r := range ranges {
@@ -461,6 +452,7 @@ func (sx *ShardedIndex) MemStats() MemStats {
 		out.MappedBytes += s.MappedBytes
 		out.PackedBlocks += s.PackedBlocks
 		out.PackedBytes += s.PackedBytes
+		out.IDOrderedCopies += s.IDOrderedCopies
 		if s.Mapped {
 			out.Mapped = true
 		}
@@ -490,41 +482,11 @@ func (sx *ShardedIndex) fanOut(n int, fn func(i int)) {
 	sx.pool.RunN(n, fn)
 }
 
-// smjSlot lazily holds one segment's ID-ordered list index at one
-// fraction; the Once lets concurrent queries build different slots in
-// parallel. A build failure (corrupt compressed lists) is cached in err,
-// so every query against the slot observes the same outcome.
-type smjSlot struct {
-	once sync.Once
-	smj  *SMJIndex
-	err  error
-}
-
 // globSlot lazily holds one feature's per-segment globalized score lists.
 type globSlot struct {
 	once  sync.Once
 	lists []plist.ScoreList
 	err   error
-}
-
-// segSMJ returns segment i's cached ID-ordered list index at a fraction,
-// building it on first use (outside the cache mutex).
-func (sx *ShardedIndex) segSMJ(i int, frac float64) (*SMJIndex, error) {
-	sx.smjMu.Lock()
-	row, ok := sx.smjCache[frac]
-	if !ok {
-		row = make([]*smjSlot, len(sx.segs))
-		for j := range row {
-			row[j] = &smjSlot{}
-		}
-		sx.smjCache[frac] = row
-	}
-	slot := row[i]
-	sx.smjMu.Unlock()
-	slot.once.Do(func() {
-		slot.smj, slot.err = sx.segs[i].ix.BuildSMJ(frac)
-	})
-	return slot.smj, slot.err
 }
 
 // SelectCount reports |D'| for the query, summed over segments. Segments
@@ -598,9 +560,6 @@ func (sx *ShardedIndex) querySMJ(ctx context.Context, q corpus.Query, k int, fra
 	}
 	if k <= 0 {
 		return nil, 0, fmt.Errorf("core: k must be positive, got %d", k)
-	}
-	if frac <= 0 || frac > 1 {
-		frac = 1
 	}
 	parts := make([]topk.PartialList, len(sx.segs))
 	errs := make([]error, len(sx.segs))
@@ -761,39 +720,16 @@ func (sx *ShardedIndex) scanSegment(ctx context.Context, i int, q corpus.Query, 
 	if ix.Dict.Len() == 0 {
 		return nil // segment holds none of the universe phrases
 	}
-	smj, err := sx.segSMJ(i, frac)
+	smj, err := ix.SMJ(frac)
 	if err != nil {
 		return err
 	}
 	pool := ix.ScratchPool()
 	s := pool.Get()
 	defer pool.Put(s)
-	var cursors []plist.Cursor
-	if smj.Blocks != nil {
-		cs, blk := s.BlockCursors(len(q.Features))
-		for fi, f := range q.Features {
-			l, err := smj.Blocks.List(f)
-			if err != nil {
-				return err
-			}
-			if !smj.Blocks.Has(f) && ix.restricted && ix.Inverted.Has(f) {
-				return fmt.Errorf("core: segment %d SMJ index has no list for %q", i, f)
-			}
-			blk[fi].Reset(l)
-			cs[fi] = &blk[fi]
-		}
-		cursors = cs
-	} else {
-		cs, mem := s.MemCursors(len(q.Features))
-		for fi, f := range q.Features {
-			l, ok := smj.Lists[f]
-			if !ok && ix.restricted && ix.Inverted.Has(f) {
-				return fmt.Errorf("core: segment %d SMJ index has no list for %q", i, f)
-			}
-			mem[fi].Reset(l)
-			cs[fi] = &mem[fi]
-		}
-		cursors = cs
+	cursors, err := ix.idCursors(s, smj, q.Features, nil)
+	if err != nil {
+		return fmt.Errorf("core: segment %d: %w", i, err)
 	}
 	r := len(q.Features)
 	return topk.ScanGroupsCtx(ctx, cursors, s, func(local phrasedict.PhraseID, probs []float64, seen uint64) {
@@ -835,7 +771,7 @@ func (sx *ShardedIndex) QueryNRA(ctx context.Context, q corpus.Query, k int, fra
 // become n_s(w,p)/df(p), so summing a phrase's entries across segments
 // yields exactly the monolithic P(w|p). Lists are built on first use per
 // feature (one pass over each segment's own list) and cached until the
-// next Flush, like the ID-ordered SMJ caches.
+// next Flush.
 func (sx *ShardedIndex) globalizedLists(f string) ([]plist.ScoreList, error) {
 	sx.globMu.Lock()
 	if sx.globCache == nil {
@@ -885,40 +821,29 @@ func (sx *ShardedIndex) globalizeSegmentList(seg *segment, f string) (plist.Scor
 	if ix.Dict.Len() == 0 {
 		return nil, nil
 	}
-	var entries []plist.Entry
-	emit := func(e plist.Entry) {
-		local := e.Phrase
-		n := probCount(e.Prob, ix.PhraseDF[local])
-		g := seg.localToGlobal[local]
+	pool := ix.ScratchPool()
+	s := pool.Get()
+	defer pool.Put(s)
+	cursors, err := ix.scoreCursors(s, []string{f}, nil)
+	if err != nil {
+		return nil, err
+	}
+	cur := cursors[0]
+	entries := make([]plist.Entry, 0, cur.Len())
+	for {
+		e, ok := cur.Next()
+		if !ok {
+			break
+		}
+		n := probCount(e.Prob, ix.PhraseDF[e.Phrase])
+		g := seg.localToGlobal[e.Phrase]
 		entries = append(entries, plist.Entry{
-			Phrase: local,
+			Phrase: e.Phrase,
 			Prob:   float64(n) / float64(sx.globalDF[g]),
 		})
 	}
-	if ix.Blocks != nil {
-		l, err := ix.featureBlockList(f)
-		if err != nil {
-			return nil, err
-		}
-		cur := plist.NewBlockCursor(l)
-		for {
-			e, ok := cur.Next()
-			if !ok {
-				break
-			}
-			emit(e)
-		}
-		if err := cur.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		l, err := ix.featureList(f)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range l {
-			emit(e)
-		}
+	if err := cur.Err(); err != nil {
+		return nil, err
 	}
 	plist.SortScoreOrder(entries)
 	return entries, nil
@@ -1057,8 +982,8 @@ func (sx *ShardedIndex) completeAndMerge(ctx context.Context, q corpus.Query, k 
 }
 
 // completeSegment looks up each candidate's per-feature co-occurrence
-// counts in one segment's full ID-ordered lists: binary search on raw
-// lists, skip-table gallops (SkipTo) on block-compressed ones.
+// counts in one segment's full ID-ordered lists by seeking (SkipTo) from
+// candidate to candidate.
 func (sx *ShardedIndex) completeSegment(ctx context.Context, i int, q corpus.Query, cands []phrasedict.PhraseID) (topk.PartialList, error) {
 	// One check per segment visit suffices: completion is a bounded number
 	// of log-time lookups, orders of magnitude cheaper than a list scan.
@@ -1085,53 +1010,46 @@ func (sx *ShardedIndex) completeSegment(ctx context.Context, i int, q corpus.Que
 		return out, nil
 	}
 	out.Counts = make([]uint32, len(globals)*r)
-	smj, err := sx.segSMJ(i, 1.0)
+	smj, err := seg.ix.SMJ(1)
 	if err != nil {
 		return out, err
 	}
-	for fi, f := range q.Features {
-		if smj.Blocks != nil {
-			l, err := smj.Blocks.List(f)
-			if err != nil {
-				return out, err
+	pool := seg.ix.ScratchPool()
+	s := pool.Get()
+	defer pool.Put(s)
+	cursors, err := seg.ix.idCursors(s, smj, q.Features, nil)
+	if err != nil {
+		return out, err
+	}
+	for fi, c := range cursors {
+		cur := c.(plist.SkipCursor)
+		// SkipTo consumes the entry it lands on; when that entry lies past
+		// the candidate asked for, it is held here for the candidates after.
+		var pend plist.Entry
+		havePend := false
+		for ci, local := range locals {
+			if havePend {
+				if pend.Phrase > local {
+					continue // no entry for this candidate
+				}
+				if pend.Phrase == local {
+					out.Counts[ci*r+fi] = probCount(pend.Prob, seg.ix.PhraseDF[local])
+					havePend = false
+					continue
+				}
+				havePend = false // stale: the cursor is already past it
 			}
-			cur := plist.NewBlockCursor(l)
-			var pend plist.Entry
-			havePend := false
-			for ci, local := range locals {
-				if havePend {
-					if pend.Phrase > local {
-						continue // no entry for this candidate
-					}
-					if pend.Phrase == local {
-						out.Counts[ci*r+fi] = probCount(pend.Prob, seg.ix.PhraseDF[local])
-						havePend = false
-						continue
-					}
-					havePend = false // stale: the cursor is already past it
+			e, ok := cur.SkipTo(local)
+			if !ok {
+				if err := cur.Err(); err != nil {
+					return out, err
 				}
-				e, ok := cur.SkipTo(local)
-				if !ok {
-					if err := cur.Err(); err != nil {
-						return out, err
-					}
-					break // list exhausted: no later candidate matches
-				}
-				if e.Phrase == local {
-					out.Counts[ci*r+fi] = probCount(e.Prob, seg.ix.PhraseDF[local])
-				} else {
-					pend, havePend = e, true
-				}
+				break // list exhausted: no later candidate matches
 			}
-		} else {
-			l := smj.Lists[f]
-			pos := 0
-			for ci, local := range locals {
-				j := pos + sort.Search(len(l)-pos, func(x int) bool { return l[pos+x].Phrase >= local })
-				pos = j
-				if j < len(l) && l[j].Phrase == local {
-					out.Counts[ci*r+fi] = probCount(l[j].Prob, seg.ix.PhraseDF[local])
-				}
+			if e.Phrase == local {
+				out.Counts[ci*r+fi] = probCount(e.Prob, seg.ix.PhraseDF[local])
+			} else {
+				pend, havePend = e, true
 			}
 		}
 	}
@@ -1457,9 +1375,6 @@ func (sx *ShardedIndex) Flush() error {
 	}
 
 	sx.assemble()
-	sx.smjMu.Lock()
-	sx.smjCache = map[float64][]*smjSlot{}
-	sx.smjMu.Unlock()
 	sx.globMu.Lock()
 	sx.globCache = nil
 	sx.globMu.Unlock()

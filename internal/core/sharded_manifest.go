@@ -177,9 +177,8 @@ func OpenSharded(dir string, man diskio.Manifest, workers int) (*ShardedIndex, e
 	}
 	resolved := parallel.Workers(workers)
 	sx := &ShardedIndex{
-		workers:  resolved,
-		pool:     topk.NewPool(resolved),
-		smjCache: map[float64][]*smjSlot{},
+		workers: resolved,
+		pool:    topk.NewPool(resolved),
 	}
 	sx.segs = make([]*segment, len(man.Segments))
 	errs := make([]error, len(man.Segments))

@@ -180,7 +180,7 @@ func LoadSnapshotSections(snap *diskio.Snapshot, workers int) (*Index, error) {
 	}
 	inv, err := corpus.OpenBlockInverted(invBytes)
 	if err != nil {
-		return nil, err
+		return nil, diskio.Corruptf("core: inverted section: %v", err)
 	}
 	if !meta.Compression {
 		// Uncompressed operation decodes postings eagerly, restoring the
@@ -219,7 +219,7 @@ func LoadSnapshotSections(snap *diskio.Snapshot, workers int) (*Index, error) {
 	}
 	blocks, err := plist.OpenBlockSet(listBytes)
 	if err != nil {
-		return nil, err
+		return nil, diskio.Corruptf("core: lists section: %v", err)
 	}
 
 	// Cross-section consistency: a snapshot assembled from mismatched
@@ -326,7 +326,7 @@ func OpenSnapshotSections(snap *diskio.MappedSnapshot, workers int) (*Index, err
 	}
 	inv, err := corpus.OpenBlockInverted(invBytes)
 	if err != nil {
-		return nil, err
+		return nil, diskio.Corruptf("core: inverted section: %v", err)
 	}
 	dictBytes, err := snap.MustSection(sectionDict)
 	if err != nil {
@@ -350,7 +350,7 @@ func OpenSnapshotSections(snap *diskio.MappedSnapshot, workers int) (*Index, err
 	}
 	blocks, err := plist.OpenBlockSet(listBytes)
 	if err != nil {
-		return nil, err
+		return nil, diskio.Corruptf("core: lists section: %v", err)
 	}
 	// Header-level consistency (deep counts are checked lazily when the
 	// corresponding sections materialize).

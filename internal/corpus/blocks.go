@@ -12,12 +12,12 @@ package corpus
 //
 // Serialized index layout (all integers little-endian):
 //
-//	[0,8)    magic "PMINVBK2" (v2, tagged blocks; "PMINVBK1" still opens)
+//	[0,8)    magic "PMINVBK2"
 //	[8,12)   numDocs uint32
 //	[12,16)  numFeatures uint32
 //	[16,24)  directory size in bytes, uint64
-//	[24,32)  packed-codec block count, uint64 (v2 only)
-//	[32,40)  packed-codec payload bytes, uint64 (v2 only)
+//	[24,32)  packed-codec block count, uint64
+//	[32,40)  packed-codec payload bytes, uint64
 //	then the directory, per feature in sorted order:
 //	             nameLen uint16, name bytes,
 //	             offset  uint64 (into the data region),
@@ -30,14 +30,13 @@ package corpus
 //	skip table: ceil(count/PostingBlockLen) entries of 8 bytes:
 //	    firstDoc uint32, offset uint32 (relative to payload start)
 //	payload blocks encoding DocIDs 1..n-1 of the block (the first DocID
-//	lives in the skip entry). v2 blocks start with a codec tag byte:
+//	lives in the skip entry). Every block starts with a codec tag byte:
 //	    tag 0 (varint): uvarint gaps to the predecessor (strictly
 //	        increasing lists, so every gap >= 1)
 //	    tag 1 (packed): a bitpack frame of gap-1 values, fixed bit-width
 //	        with PFOR exceptions (gaps are >= 1, so dense runs pack at
 //	        zero width and a zero gap is inexpressible)
-//	v1 blocks are the varint encoding without the tag byte; the codec is
-//	chosen per block at build time by encoded size.
+//	The codec is chosen per block at build time by encoded size.
 
 import (
 	"bytes"
@@ -54,17 +53,11 @@ const PostingBlockLen = 128
 // postingSkipSize is the fixed width of one posting skip entry.
 const postingSkipSize = 4 + 4
 
-var (
-	invertedBlockMagicV1 = [8]byte{'P', 'M', 'I', 'N', 'V', 'B', 'K', '1'}
-	invertedBlockMagicV2 = [8]byte{'P', 'M', 'I', 'N', 'V', 'B', 'K', '2'}
-)
+var invertedBlockMagic = [8]byte{'P', 'M', 'I', 'N', 'V', 'B', 'K', '2'}
 
-const (
-	invertedBlockHeaderSizeV1 = 24
-	invertedBlockHeaderSizeV2 = 40
-)
+const invertedBlockHeaderSize = 40
 
-// Per-block codec tags (first payload byte of tagged blocks), mirroring
+// Per-block codec tags (first payload byte of every block), mirroring
 // internal/plist.
 const (
 	postingTagVarint = 0
@@ -138,20 +131,14 @@ func AppendBlockPostingsCodec(buf []byte, list []DocID, codec bitpack.Codec) (ou
 // BlockPostings is a read-only view over one block-compressed posting list.
 // The zero value is an empty list.
 type BlockPostings struct {
-	data   []byte
-	count  int
-	tagged bool // blocks carry a per-block codec tag byte (v2 containers)
+	data  []byte
+	count int
 }
 
 // NewBlockPostings wraps an encoded posting list of count postings in the
-// tagged (v2) block format produced by AppendBlockPostings, validating the
-// skip-table bounds.
+// block format produced by AppendBlockPostings, validating the skip-table
+// bounds.
 func NewBlockPostings(data []byte, count int) (BlockPostings, error) {
-	return newBlockPostings(data, count, true)
-}
-
-// newBlockPostings wraps either a tagged (v2) or untagged (v1) list.
-func newBlockPostings(data []byte, count int, tagged bool) (BlockPostings, error) {
 	if count < 0 {
 		return BlockPostings{}, fmt.Errorf("corpus: negative posting count %d", count)
 	}
@@ -159,7 +146,7 @@ func newBlockPostings(data []byte, count int, tagged bool) (BlockPostings, error
 		if len(data) != 0 {
 			return BlockPostings{}, fmt.Errorf("corpus: %d data bytes for an empty posting list", len(data))
 		}
-		return BlockPostings{tagged: tagged}, nil
+		return BlockPostings{}, nil
 	}
 	numBlocks := (count + PostingBlockLen - 1) / PostingBlockLen
 	skipSize := numBlocks * postingSkipSize
@@ -173,7 +160,7 @@ func newBlockPostings(data []byte, count int, tagged bool) (BlockPostings, error
 			return BlockPostings{}, fmt.Errorf("corpus: posting block %d offset %d beyond payload of %d bytes", b, off, payloadSize)
 		}
 	}
-	return BlockPostings{data: data, count: count, tagged: tagged}, nil
+	return BlockPostings{data: data, count: count}, nil
 }
 
 // Len reports the number of postings.
@@ -228,18 +215,13 @@ func (p BlockPostings) DecodeBlock(b int, dst []DocID) ([]DocID, error) {
 		return nil, fmt.Errorf("corpus: posting block %d has inverted extent [%d,%d)", b, lo, hi)
 	}
 	buf := p.data[lo:hi]
-	pos := 0
+	if len(buf) == 0 {
+		return nil, fmt.Errorf("corpus: posting block %d: missing codec tag", b)
+	}
+	pos := 1
 	prev := uint64(p.FirstDoc(b))
 	dst[0] = DocID(prev)
-	tag := uint8(postingTagVarint)
-	if p.tagged {
-		if len(buf) == 0 {
-			return nil, fmt.Errorf("corpus: posting block %d: missing codec tag", b)
-		}
-		tag = buf[0]
-		pos = 1
-	}
-	switch tag {
+	switch tag := buf[0]; tag {
 	case postingTagVarint:
 		for j := 1; j < n; j++ {
 			gap, w := binary.Uvarint(buf[pos:])
@@ -443,8 +425,8 @@ func (ix *Inverted) AppendBlockIndex(buf []byte) ([]byte, error) {
 // AppendBlockIndexCodec is AppendBlockIndex with an explicit codec policy.
 func (ix *Inverted) AppendBlockIndexCodec(buf []byte, codec bitpack.Codec) ([]byte, error) {
 	feats := ix.Features()
-	var hdr [invertedBlockHeaderSizeV2]byte
-	copy(hdr[:8], invertedBlockMagicV2[:])
+	var hdr [invertedBlockHeaderSize]byte
+	copy(hdr[:8], invertedBlockMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(ix.numDocs))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(feats)))
 	dirSize := 0
@@ -501,31 +483,18 @@ func (ix *Inverted) AppendBlockIndexCodec(buf []byte, codec bitpack.Codec) ([]by
 // first Docs call for each feature and are then cached, so repeated queries
 // on the same features pay the decode once.
 func OpenBlockInverted(data []byte) (*Inverted, error) {
-	if len(data) < invertedBlockHeaderSizeV1 {
-		return nil, fmt.Errorf("corpus: block inverted index of %d bytes is shorter than its header", len(data))
-	}
-	var hdrSize int
-	var tagged bool
-	switch {
-	case bytes.Equal(data[:8], invertedBlockMagicV2[:]):
-		hdrSize, tagged = invertedBlockHeaderSizeV2, true
-	case bytes.Equal(data[:8], invertedBlockMagicV1[:]):
-		hdrSize, tagged = invertedBlockHeaderSizeV1, false
-	default:
-		return nil, fmt.Errorf("corpus: bad block inverted magic %q", data[:8])
-	}
+	const hdrSize = invertedBlockHeaderSize
 	if len(data) < hdrSize {
 		return nil, fmt.Errorf("corpus: block inverted index of %d bytes is shorter than its %d-byte header", len(data), hdrSize)
+	}
+	if !bytes.Equal(data[:8], invertedBlockMagic[:]) {
+		return nil, fmt.Errorf("corpus: bad block inverted magic %q", data[:8])
 	}
 	numDocs := int(binary.LittleEndian.Uint32(data[8:12]))
 	numFeatures := int(binary.LittleEndian.Uint32(data[12:16]))
 	dirSize := binary.LittleEndian.Uint64(data[16:24])
-	var packedBlocks int
-	var packedBytes int64
-	if tagged {
-		packedBlocks = int(binary.LittleEndian.Uint64(data[24:32]))
-		packedBytes = int64(binary.LittleEndian.Uint64(data[32:40]))
-	}
+	packedBlocks := int(binary.LittleEndian.Uint64(data[24:32]))
+	packedBytes := int64(binary.LittleEndian.Uint64(data[32:40]))
 	if dirSize > uint64(len(data)-hdrSize) {
 		return nil, fmt.Errorf("corpus: inverted directory of %d bytes exceeds payload", dirSize)
 	}
@@ -563,7 +532,7 @@ func OpenBlockInverted(data []byte) (*Inverted, error) {
 		if _, dup := ix.blocks[name]; dup {
 			return nil, fmt.Errorf("corpus: duplicate feature %q", name)
 		}
-		bp, err := newBlockPostings(region[off:off+uint64(size)], count, tagged)
+		bp, err := NewBlockPostings(region[off:off+uint64(size)], count)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: feature %q: %w", name, err)
 		}
@@ -618,7 +587,7 @@ func (ix *Inverted) PostingStats() (postings int, bytes int64, compressed bool) 
 }
 
 // PackedPostingStats reports the packed-codec share of a block-backed
-// index (zeros for eager indexes and v1 containers).
+// index (zeros for eager indexes).
 func (ix *Inverted) PackedPostingStats() (blocks int, bytes int64) {
 	return ix.packedBlocks, ix.packedBytes
 }

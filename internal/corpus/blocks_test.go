@@ -216,7 +216,7 @@ func TestOpenBlockInvertedRejectsOverflowingExtent(t *testing.T) {
 	}
 	// Corrupt the first directory entry's offset to a value that wraps
 	// uint64 when added to its size: the open must error, not panic.
-	pos := invertedBlockHeaderSizeV2
+	pos := invertedBlockHeaderSize
 	nl := int(data[pos]) | int(data[pos+1])<<8
 	off := pos + 2 + nl
 	for i := 0; i < 8; i++ {

@@ -136,9 +136,9 @@ func (c *Corpus) TokenSlices() ([][]string, error) {
 	return out, nil
 }
 
-// distinctFeatures returns the sorted distinct features (word tokens plus
-// facet features) of a document. SentenceBreak markers are excluded.
-func distinctFeatures(d Document) []string {
+// FeatureSet returns the distinct features (word tokens plus facet
+// features) of a document. SentenceBreak markers are excluded.
+func FeatureSet(d Document) map[string]struct{} {
 	seen := make(map[string]struct{}, len(d.Tokens))
 	for _, t := range d.Tokens {
 		if t == "\x00" { // textproc.SentenceBreak
@@ -149,6 +149,12 @@ func distinctFeatures(d Document) []string {
 	for name, value := range d.Facets {
 		seen[FacetFeature(name, value)] = struct{}{}
 	}
+	return seen
+}
+
+// distinctFeatures returns a document's FeatureSet as a sorted slice.
+func distinctFeatures(d Document) []string {
+	seen := FeatureSet(d)
 	out := make([]string, 0, len(seen))
 	for f := range seen {
 		out = append(out, f)

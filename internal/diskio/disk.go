@@ -173,9 +173,6 @@ func NewDisk(model CostModel) (*Disk, error) {
 	}, nil
 }
 
-// Model returns the disk's cost model.
-func (d *Disk) Model() CostModel { return d.model }
-
 // CreateFile registers a file with the given contents. The Disk takes
 // ownership of data; callers must not mutate it afterwards.
 func (d *Disk) CreateFile(name string, data []byte) error {

@@ -197,18 +197,6 @@ func (m *Mem) ExportDurable(root string) error {
 	return nil
 }
 
-// DurableFiles returns the sorted paths that would survive a crash.
-func (m *Mem) DurableFiles() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	paths := make([]string, 0, len(m.durable))
-	for p := range m.durable {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
 // memHandle is an open handle onto a memFile. Non-append handles write
 // from their own offset (starting at 0, as fresh O_TRUNC/O_CREATE opens
 // do); append handles always write at the current end.

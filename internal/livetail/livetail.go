@@ -209,7 +209,12 @@ func (t *Tail) PairEstimate(f, p string) uint64 {
 // lock.
 func (t *Tail) Add(d corpus.Document) {
 	now := t.cfg.Now()
-	feats, hashes := featureSet(d)
+	feats := corpus.FeatureSet(d)
+	// Hashed once per document so the per-pair sketch updates only mix.
+	hashes := make([]uint64, 0, len(feats))
+	for f := range feats {
+		hashes = append(hashes, sketch.HashKey(f))
+	}
 	phrases := t.extractPhrases(d.Tokens)
 	t.docs = append(t.docs, tailDoc{features: feats, phrases: phrases})
 	slot := t.win.Advance(now)
@@ -228,26 +233,6 @@ func (t *Tail) Add(d corpus.Document) {
 	}
 }
 
-// featureSet collects a document's distinct features (words + facets) and
-// their hashes, hashed once per document so the per-pair sketch updates
-// only mix.
-func featureSet(d corpus.Document) (map[string]struct{}, []uint64) {
-	feats := make(map[string]struct{}, len(d.Tokens))
-	for _, tok := range d.Tokens {
-		if tok != textproc.SentenceBreak {
-			feats[tok] = struct{}{}
-		}
-	}
-	for name, value := range d.Facets {
-		feats[corpus.FacetFeature(name, value)] = struct{}{}
-	}
-	hashes := make([]uint64, 0, len(feats))
-	for f := range feats {
-		hashes = append(hashes, sketch.HashKey(f))
-	}
-	return feats, hashes
-}
-
 // extractPhrases lists a document's distinct candidate phrases: every
 // n-gram within the configured length bounds that does not cross a
 // sentence break, subject to the stopword and byte-length rules of the
@@ -258,7 +243,7 @@ func (t *Tail) extractPhrases(tokens []string) []string {
 	for n := t.cfg.MinWords; n <= t.cfg.MaxWords; n++ {
 		for s := 0; s+n <= len(tokens); s++ {
 			window := tokens[s : s+n]
-			if crossesBreak(window) {
+			if textproc.ContainsBreak(window) {
 				continue
 			}
 			if t.cfg.DropAllStopwordPhrases && textproc.AllStopwords(window) {
@@ -276,15 +261,6 @@ func (t *Tail) extractPhrases(tokens []string) []string {
 		out = append(out, p)
 	}
 	return out
-}
-
-func crossesBreak(window []string) bool {
-	for _, tok := range window {
-		if tok == textproc.SentenceBreak {
-			return true
-		}
-	}
-	return false
 }
 
 // matches reports whether the document satisfies the query's operator

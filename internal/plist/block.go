@@ -16,8 +16,8 @@ package plist
 //	    firstID uint32 LE   (phrase ID of the block's first entry)
 //	    maxProb float64 LE  (maximum probability within the block)
 //	    offset  uint32 LE   (block payload offset, relative to payload start)
-//	payload blocks, each encoding n entries (n = BlockLen except the last).
-//	Tagged (v2) blocks start with a codec tag byte:
+//	payload blocks, each encoding n entries (n = BlockLen except the last)
+//	and starting with a codec tag byte:
 //	    tag 0 (varint): IDs of entries 1..n-1 as uvarints (entry 0's ID is
 //	        the skip entry's firstID): deltas to the predecessor for
 //	        ID-ordered lists (strictly increasing, so every delta >= 1),
@@ -27,8 +27,7 @@ package plist
 //	        pack at zero width and a zero delta is inexpressible) or raw
 //	        IDs (score order), fixed bit-width with PFOR exceptions,
 //	        decoded branch-free 8 values at a time
-//	Untagged (v1) blocks, still readable from PMBLSET1 containers, are the
-//	varint encoding without the tag byte. Either codec is followed by:
+//	Either codec is followed by:
 //	    nDistinct uint8     (number of distinct probability values, 1..n)
 //	    nDistinct float64s  (the distinct values, in first-occurrence order)
 //	    if nDistinct > 1: n uint8 dictionary indexes, one per entry
@@ -70,7 +69,7 @@ const (
 	CodecVarint = bitpack.CodecVarint
 )
 
-// Per-block codec tags (first payload byte of tagged blocks).
+// Per-block codec tags (first payload byte of every block).
 const (
 	tagVarint = 0
 	tagPacked = 1
@@ -93,10 +92,9 @@ func (s *PackedStats) add(o PackedStats) {
 // value is an empty list. The data slice may point into a memory-mapped
 // region; BlockList never writes to it.
 type BlockList struct {
-	data   []byte
-	count  int
-	ord    Ordering
-	tagged bool // blocks carry a per-block codec tag byte (v2 containers)
+	data  []byte
+	count int
+	ord   Ordering
 }
 
 // NumBlocksFor reports the number of blocks a list of count entries
@@ -228,16 +226,11 @@ func AppendBlockListCodec(buf []byte, entries []Entry, ord Ordering, codec Block
 	return buf, stats, nil
 }
 
-// NewBlockList wraps an encoded list of count entries in the tagged (v2)
-// block format produced by AppendBlockList. It validates that data is large
-// enough to hold the skip table and that block offsets lie within the
-// payload; block contents are validated lazily at decode time.
+// NewBlockList wraps an encoded list of count entries in the block format
+// produced by AppendBlockList. It validates that data is large enough to
+// hold the skip table and that block offsets lie within the payload; block
+// contents are validated lazily at decode time.
 func NewBlockList(data []byte, count int, ord Ordering) (BlockList, error) {
-	return newBlockList(data, count, ord, true)
-}
-
-// newBlockList wraps either a tagged (v2) or untagged (v1) encoded list.
-func newBlockList(data []byte, count int, ord Ordering, tagged bool) (BlockList, error) {
 	if count < 0 {
 		return BlockList{}, fmt.Errorf("plist: negative entry count %d", count)
 	}
@@ -245,7 +238,7 @@ func newBlockList(data []byte, count int, ord Ordering, tagged bool) (BlockList,
 		if len(data) != 0 {
 			return BlockList{}, fmt.Errorf("plist: %d data bytes for an empty list", len(data))
 		}
-		return BlockList{ord: ord, tagged: tagged}, nil
+		return BlockList{ord: ord}, nil
 	}
 	numBlocks := NumBlocksFor(count)
 	skipSize := numBlocks * skipEntrySize
@@ -259,7 +252,7 @@ func newBlockList(data []byte, count int, ord Ordering, tagged bool) (BlockList,
 			return BlockList{}, fmt.Errorf("plist: block %d offset %d beyond payload of %d bytes", b, off, payloadSize)
 		}
 	}
-	return BlockList{data: data, count: count, ord: ord, tagged: tagged}, nil
+	return BlockList{data: data, count: count, ord: ord}, nil
 }
 
 // Len reports the number of entries in the list.
@@ -321,19 +314,14 @@ func (l BlockList) DecodeBlock(b int, dst []Entry) ([]Entry, error) {
 		return nil, fmt.Errorf("plist: block %d has inverted extent [%d,%d)", b, lo, hi)
 	}
 	p := l.data[lo:hi]
-	pos := 0
+	if len(p) == 0 {
+		return nil, fmt.Errorf("plist: block %d: missing codec tag", b)
+	}
+	pos := 1
 
 	firstID, _ := l.Skip(b)
 	dst[0].Phrase = firstID
-	tag := uint8(tagVarint)
-	if l.tagged {
-		if len(p) == 0 {
-			return nil, fmt.Errorf("plist: block %d: missing codec tag", b)
-		}
-		tag = p[0]
-		pos = 1
-	}
-	switch tag {
+	switch tag := p[0]; tag {
 	case tagVarint:
 		prev := uint64(firstID)
 		for j := 1; j < n; j++ {
@@ -654,5 +642,3 @@ func (c *BlockCursor) SkipTo(id phrasedict.PhraseID) (Entry, bool) {
 	c.pos = target*BlockLen + lo + 1
 	return c.buf[lo], true
 }
-
-var _ Cursor = (*BlockCursor)(nil)

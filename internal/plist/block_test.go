@@ -311,7 +311,7 @@ func TestOpenBlockSetRejectsOverflowingExtent(t *testing.T) {
 	data := bs.AppendTo(nil)
 	// Corrupt the directory entry's uint64 offset so off+size wraps: the
 	// open must error, not store a wrapped extent that panics at List().
-	pos := blockSetHeaderSizeV2
+	pos := blockSetHeaderSize
 	nl := int(data[pos]) | int(data[pos+1])<<8
 	off := pos + 2 + nl
 	for i := 0; i < 8; i++ {

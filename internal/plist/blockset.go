@@ -9,22 +9,20 @@ package plist
 //
 // Serialized layout (all integers little-endian):
 //
-//	[0,8)    magic "PMBLSET2" (v2, tagged blocks; "PMBLSET1" still opens)
+//	[0,8)    magic "PMBLSET2"
 //	[8]      ordering byte
 //	[9,12)   zero padding
 //	[12,16)  numWords uint32
 //	[16,24)  directory size in bytes, uint64
-//	[24,32)  packed-codec block count, uint64 (v2 only)
-//	[32,40)  packed-codec payload bytes, uint64 (v2 only)
+//	[24,32)  packed-codec block count, uint64
+//	[32,40)  packed-codec payload bytes, uint64
 //	then the directory, per word in sorted order:
 //	             wordLen uint16, word bytes,
 //	             offset  uint64 (into the data region),
 //	             size    uint32 (encoded list bytes),
 //	             count   uint32 (entries)
 //	then the data region: per-word encodings (see block.go) in directory
-//	order, contiguous. v1 containers have a 24-byte header (no packed
-//	stats) and untagged varint-only blocks; v2 blocks each start with a
-//	codec tag byte. Writers always emit v2.
+//	order, contiguous.
 
 import (
 	"bytes"
@@ -33,15 +31,9 @@ import (
 	"sort"
 )
 
-var (
-	blockSetMagicV1 = [8]byte{'P', 'M', 'B', 'L', 'S', 'E', 'T', '1'}
-	blockSetMagicV2 = [8]byte{'P', 'M', 'B', 'L', 'S', 'E', 'T', '2'}
-)
+var blockSetMagic = [8]byte{'P', 'M', 'B', 'L', 'S', 'E', 'T', '2'}
 
-const (
-	blockSetHeaderSizeV1 = 24
-	blockSetHeaderSizeV2 = 40
-)
+const blockSetHeaderSize = 40
 
 // blockExtent locates one word's encoded list inside the data region.
 type blockExtent struct {
@@ -60,8 +52,6 @@ type BlockSet struct {
 	data    []byte
 	entries int
 	dirSize int
-	hdrSize int
-	tagged  bool // per-block codec tags present (v2)
 	packed  PackedStats
 }
 
@@ -97,11 +87,9 @@ func buildBlockSet(ord Ordering, lists map[string][]Entry, codec BlockCodec) (*B
 	}
 	sort.Strings(words)
 	bs := &BlockSet{
-		ord:     ord,
-		words:   words,
-		dir:     make(map[string]blockExtent, len(words)),
-		hdrSize: blockSetHeaderSizeV2,
-		tagged:  true,
+		ord:   ord,
+		words: words,
+		dir:   make(map[string]blockExtent, len(words)),
 	}
 	var data []byte
 	for _, w := range words {
@@ -129,15 +117,10 @@ func serializedDirSize(bs *BlockSet) int {
 	return n
 }
 
-// AppendTo appends the serialized BlockSet to buf, always in the v2
-// format. A BlockSet opened from a v1 container cannot be re-serialized
-// here (its blocks are untagged); v1 data is rewritten by rebuilding.
+// AppendTo appends the serialized BlockSet to buf.
 func (bs *BlockSet) AppendTo(buf []byte) []byte {
-	if !bs.tagged {
-		panic("plist: AppendTo on a v1 (untagged) BlockSet; rebuild it instead")
-	}
-	var hdr [blockSetHeaderSizeV2]byte
-	copy(hdr[:8], blockSetMagicV2[:])
+	var hdr [blockSetHeaderSize]byte
+	copy(hdr[:8], blockSetMagic[:])
 	hdr[8] = byte(bs.ord)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(bs.words)))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(bs.dirSize))
@@ -165,21 +148,12 @@ func (bs *BlockSet) AppendTo(buf []byte) []byte {
 // valid and immutable for the BlockSet's lifetime). Cost is O(#words): only
 // the directory is materialized.
 func OpenBlockSet(data []byte) (*BlockSet, error) {
-	if len(data) < blockSetHeaderSizeV1 {
-		return nil, fmt.Errorf("plist: block set of %d bytes is shorter than its header", len(data))
-	}
-	var hdrSize int
-	var tagged bool
-	switch {
-	case bytes.Equal(data[:8], blockSetMagicV2[:]):
-		hdrSize, tagged = blockSetHeaderSizeV2, true
-	case bytes.Equal(data[:8], blockSetMagicV1[:]):
-		hdrSize, tagged = blockSetHeaderSizeV1, false
-	default:
-		return nil, fmt.Errorf("plist: bad block-set magic %q", data[:8])
-	}
+	const hdrSize = blockSetHeaderSize
 	if len(data) < hdrSize {
 		return nil, fmt.Errorf("plist: block set of %d bytes is shorter than its %d-byte header", len(data), hdrSize)
+	}
+	if !bytes.Equal(data[:8], blockSetMagic[:]) {
+		return nil, fmt.Errorf("plist: bad block-set magic %q", data[:8])
 	}
 	ord := Ordering(data[8])
 	if ord != OrderScore && ord != OrderID {
@@ -187,10 +161,9 @@ func OpenBlockSet(data []byte) (*BlockSet, error) {
 	}
 	numWords := int(binary.LittleEndian.Uint32(data[12:16]))
 	dirSize := binary.LittleEndian.Uint64(data[16:24])
-	var packed PackedStats
-	if tagged {
-		packed.Blocks = int(binary.LittleEndian.Uint64(data[24:32]))
-		packed.Bytes = int64(binary.LittleEndian.Uint64(data[32:40]))
+	packed := PackedStats{
+		Blocks: int(binary.LittleEndian.Uint64(data[24:32])),
+		Bytes:  int64(binary.LittleEndian.Uint64(data[32:40])),
 	}
 	if dirSize > uint64(len(data)-hdrSize) {
 		return nil, fmt.Errorf("plist: directory of %d bytes exceeds file", dirSize)
@@ -203,8 +176,6 @@ func OpenBlockSet(data []byte) (*BlockSet, error) {
 		dir:     make(map[string]blockExtent, numWords),
 		data:    region,
 		dirSize: int(dirSize),
-		hdrSize: hdrSize,
-		tagged:  tagged,
 		packed:  packed,
 	}
 	pos := 0
@@ -268,11 +239,10 @@ func (bs *BlockSet) TotalEntries() int { return bs.entries }
 // region (the serialized size, which equals the resident size for a mapped
 // set).
 func (bs *BlockSet) SizeBytes() int64 {
-	return int64(bs.hdrSize + bs.dirSize + len(bs.data))
+	return int64(blockSetHeaderSize + bs.dirSize + len(bs.data))
 }
 
-// Packed reports how much of the set is packed-codec encoded (zero for v1
-// containers, which predate the packed codec).
+// Packed reports how much of the set is packed-codec encoded.
 func (bs *BlockSet) Packed() PackedStats { return bs.packed }
 
 // Words returns the directory's words in sorted order. The returned slice
@@ -288,7 +258,7 @@ func (bs *BlockSet) List(word string) (BlockList, error) {
 	if !ok {
 		return BlockList{ord: bs.ord}, nil
 	}
-	l, err := newBlockList(bs.data[ext.off:ext.off+int64(ext.size)], ext.count, bs.ord, bs.tagged)
+	l, err := NewBlockList(bs.data[ext.off:ext.off+int64(ext.size)], ext.count, bs.ord)
 	if err != nil {
 		return BlockList{ord: bs.ord}, fmt.Errorf("plist: list %q: %w", word, err)
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"phrasemine/internal/phrasedict"
 )
 
 // Ordering identifies the layout of the lists inside an index file.
@@ -242,29 +244,6 @@ func (r *Reader) ReadList(word string) ([]Entry, error) {
 	return DecodeEntries(data)
 }
 
-// ReadAllScoreLists bulk-loads every list of a score-ordered index file
-// back into the in-memory map form consumed by query processing — the
-// snapshot-load path. It validates each list's ordering invariant so a
-// corrupted index cannot silently mis-answer queries.
-func (r *Reader) ReadAllScoreLists() (map[string]ScoreList, error) {
-	if r.ordering != OrderScore {
-		return nil, fmt.Errorf("plist: index is %v-ordered, want score-ordered", r.ordering)
-	}
-	out := make(map[string]ScoreList, len(r.words))
-	for _, word := range r.words {
-		entries, err := r.ReadList(word)
-		if err != nil {
-			return nil, err
-		}
-		l := ScoreList(entries)
-		if err := l.Validate(); err != nil {
-			return nil, fmt.Errorf("plist: list %q: %w", word, err)
-		}
-		out[word] = l
-	}
-	return out, nil
-}
-
 // FileCursor iterates one list entry at a time through the underlying
 // ReaderAt. Per-entry reads deliberately mirror how the NRA algorithm
 // consumes lists ("the first entries of each of the r lists are read,
@@ -337,6 +316,14 @@ func (c *MemCursor) Next() (Entry, bool) {
 	return e, true
 }
 
+// SkipTo is BlockCursor.SkipTo for a raw ID-ordered slice: a binary search
+// over the unconsumed entries.
+func (c *MemCursor) SkipTo(id phrasedict.PhraseID) (Entry, bool) {
+	rest := c.entries[c.pos:]
+	c.pos += sort.Search(len(rest), func(i int) bool { return rest[i].Phrase >= id })
+	return c.Next()
+}
+
 // Err always reports nil for memory cursors.
 func (c *MemCursor) Err() error { return nil }
 
@@ -350,7 +337,17 @@ type Cursor interface {
 	Err() error
 }
 
+// SkipCursor is a Cursor over an ID-ordered list that can also seek: SkipTo
+// advances past every entry whose phrase ID is below id and consumes and
+// returns the first entry with Phrase >= id (ok false when none remains or
+// on error). Both in-memory layouts implement it.
+type SkipCursor interface {
+	Cursor
+	SkipTo(id phrasedict.PhraseID) (Entry, bool)
+}
+
 var (
-	_ Cursor = (*FileCursor)(nil)
-	_ Cursor = (*MemCursor)(nil)
+	_ Cursor     = (*FileCursor)(nil)
+	_ SkipCursor = (*MemCursor)(nil)
+	_ SkipCursor = (*BlockCursor)(nil)
 )

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"phrasemine"
+	"phrasemine/internal/core"
 )
 
 func testMiner(t *testing.T) *phrasemine.Miner {
@@ -330,5 +331,30 @@ func TestCacheDisabled(t *testing.T) {
 	doJSON(t, s, http.MethodPost, "/mine", req)
 	if decode[MineResponse](t, doJSON(t, s, http.MethodPost, "/mine", req)).Cached {
 		t.Fatal("disabled cache served a hit")
+	}
+}
+
+// TestMineFractionsKeepIDOrderedCopiesBounded is the HTTP face of the
+// ID-ordered cache bound: the "fraction" of an SMJ /mine request is the
+// client's to choose and each new value builds another copy of that share
+// of the lists, so a client walking through distinct values must leave
+// /stats reporting at most the full-list copy plus core.MaxPartialSMJ
+// partial ones, every request still answered.
+func TestMineFractionsKeepIDOrderedCopiesBounded(t *testing.T) {
+	s := newTestServer(t, Options{})
+	const limit = 1 + core.MaxPartialSMJ
+	for i := 0; i < core.MaxPartialSMJ+2; i++ {
+		req := MineRequest{Keywords: []string{"trade", "reserves"}, Algorithm: "smj", Fraction: 0.3 + 0.1*float64(i)}
+		w := doJSON(t, s, http.MethodPost, "/mine", req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("fraction %v: mine = %d: %s", req.Fraction, w.Code, w.Body)
+		}
+		if len(decode[MineResponse](t, w).Results) == 0 {
+			t.Fatalf("fraction %v: no results", req.Fraction)
+		}
+		st := decode[StatsResponse](t, doJSON(t, s, http.MethodGet, "/stats", nil))
+		if st.Index.IDOrderedCopies == 0 || st.Index.IDOrderedCopies > limit {
+			t.Fatalf("after fraction %v: /stats reports %d ID-ordered copies, want 1..%d", req.Fraction, st.Index.IDOrderedCopies, limit)
+		}
 	}
 }

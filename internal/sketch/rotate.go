@@ -53,12 +53,6 @@ func NewRotating(width, depth int, period time.Duration, periods int) (*Rotating
 	return r, nil
 }
 
-// Period reports the rotation period.
-func (r *Rotating) Period() time.Duration { return r.period }
-
-// Periods reports the ring size — the maximum history in periods.
-func (r *Rotating) Periods() int { return len(r.slots) }
-
 // Bytes reports the ring's summed sketch footprint.
 func (r *Rotating) Bytes() int64 {
 	var n int64
@@ -133,16 +127,6 @@ func (r *Rotating) EstimateWindow(now time.Time, window time.Duration, h uint64)
 	var sum uint64
 	for _, i := range r.WindowSlots(now, window) {
 		sum += r.slots[i].cm.EstimateHash(h)
-	}
-	return sum
-}
-
-// ErrorBoundWindow sums the overlapping periods' additive error bounds —
-// the windowed counterpart of CountMin.ErrorBound.
-func (r *Rotating) ErrorBoundWindow(now time.Time, window time.Duration) uint64 {
-	var sum uint64
-	for _, i := range r.WindowSlots(now, window) {
-		sum += r.slots[i].cm.ErrorBound()
 	}
 	return sum
 }

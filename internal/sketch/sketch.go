@@ -69,9 +69,6 @@ func newSketch(width, depth int, conservative bool) (*CountMin, error) {
 // Width reports the per-row counter count.
 func (s *CountMin) Width() int { return s.width }
 
-// Depth reports the row count.
-func (s *CountMin) Depth() int { return s.depth }
-
 // Total reports the summed weight of every Add since the last Reset.
 func (s *CountMin) Total() uint64 { return s.total }
 

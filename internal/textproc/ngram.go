@@ -153,7 +153,7 @@ func scanRange(docs [][]string, r parallel.Range, n int, prev map[string][]int, 
 		tokens := docs[docIdx]
 		for start := 0; start+n <= len(tokens); start++ {
 			window := tokens[start : start+n]
-			if containsBreak(window) {
+			if ContainsBreak(window) {
 				continue
 			}
 			if prev != nil {
@@ -283,8 +283,10 @@ func countLevel(docs [][]string, n int, prev map[string][]int, opt ExtractorOpti
 	return survivors
 }
 
-// containsBreak reports whether the window crosses a sentence boundary.
-func containsBreak(window []string) bool {
+// ContainsBreak reports whether the window crosses a sentence boundary
+// (holds a SentenceBreak token), which disqualifies it as a phrase — the
+// one rule every n-gram scan over tokenized text applies.
+func ContainsBreak(window []string) bool {
 	for _, t := range window {
 		if t == SentenceBreak {
 			return true

@@ -214,7 +214,7 @@ func naiveExtract(docs [][]string, minDF, maxWords int) map[string][]int {
 		for n := 1; n <= maxWords; n++ {
 			for s := 0; s+n <= len(tokens); s++ {
 				window := tokens[s : s+n]
-				if containsBreak(window) {
+				if ContainsBreak(window) {
 					continue
 				}
 				p := JoinPhrase(window)

@@ -100,11 +100,3 @@ func TestSMJPropagatesCursorError(t *testing.T) {
 		}
 	}
 }
-
-func TestSMJHeapMergePropagatesCursorError(t *testing.T) {
-	bad := &failingCursor{entries: []plist.Entry{e(1, 0.5)}, failAt: 0}
-	_, _, err := SMJ([]plist.Cursor{bad}, SMJOptions{K: 1, Op: corpus.OpOR, UseHeapMerge: true})
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("heap merge: want injected error, got %v", err)
-	}
-}

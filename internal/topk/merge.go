@@ -12,20 +12,10 @@ type mergeSource struct {
 	ok   bool
 }
 
-// merger yields (entry, listIndex) pairs in non-decreasing phrase-ID order
-// across all input cursors. Two implementations are provided: a loser tree
-// (the default; O(log r) comparisons per pop with better constants for the
-// small r of keyword queries) and a binary heap (ablation comparator).
-type merger interface {
-	// next returns the globally smallest unconsumed entry and the list
-	// it came from; ok is false when all inputs are exhausted.
-	next() (e plist.Entry, list int, ok bool)
-	// err reports the first cursor error, if any.
-	err() error
-}
-
-// loserTree is a tournament tree k-way merger keyed by phrase ID (ties
-// broken by list index for determinism).
+// loserTree is a tournament tree k-way merger: it yields (entry, listIndex)
+// pairs in non-decreasing phrase-ID order across all input cursors, ties
+// broken by list index for determinism — O(log r) comparisons per pop with
+// good constants for the small r of keyword queries.
 type loserTree struct {
 	cursors []plist.Cursor
 	heads   []mergeSource
@@ -36,15 +26,9 @@ type loserTree struct {
 	readErr error
 }
 
-// newLoserTree builds the tournament over the cursors' first entries.
-func newLoserTree(cursors []plist.Cursor) *loserTree {
-	t := &loserTree{}
-	t.reset(cursors)
-	return t
-}
-
-// reset re-seats the tree over a new cursor set, reusing its internal
-// slices — the pooled-scratch entry point.
+// reset seats the tree over a cursor set and builds the tournament over
+// the cursors' first entries, reusing its internal slices — the
+// pooled-scratch entry point.
 func (t *loserTree) reset(cursors []plist.Cursor) *loserTree {
 	n := len(cursors)
 	t.cursors = cursors
@@ -128,6 +112,8 @@ func (t *loserTree) replay(i int) {
 	t.tree[0] = winner
 }
 
+// next returns the globally smallest unconsumed entry and the list it came
+// from; ok is false when all inputs are exhausted.
 func (t *loserTree) next() (plist.Entry, int, bool) {
 	w := t.tree[0]
 	if w < 0 || !t.heads[w].ok {
@@ -148,111 +134,5 @@ func (t *loserTree) next() (plist.Entry, int, bool) {
 	return e, w, true
 }
 
+// err reports the first cursor error, if any.
 func (t *loserTree) err() error { return t.readErr }
-
-// heapMerger is the binary-heap k-way merger used as the ablation
-// comparator for the loser tree.
-type heapMerger struct {
-	cursors []plist.Cursor
-	heap    []mergeSource
-	readErr error
-}
-
-func newHeapMerger(cursors []plist.Cursor) *heapMerger {
-	m := &heapMerger{}
-	m.reset(cursors)
-	return m
-}
-
-// reset re-seats the merger over a new cursor set, reusing its heap slice —
-// the pooled-scratch entry point.
-func (m *heapMerger) reset(cursors []plist.Cursor) *heapMerger {
-	m.cursors = cursors
-	m.heap = m.heap[:0]
-	m.readErr = nil
-	for i := range cursors {
-		src := m.pull(i)
-		if src.ok {
-			m.heap = append(m.heap, src)
-			m.up(len(m.heap) - 1)
-		}
-	}
-	return m
-}
-
-// release drops cursor references so a pooled merger cannot retain caller
-// data across queries.
-func (m *heapMerger) release() {
-	m.cursors = nil
-	m.heap = m.heap[:0]
-	m.readErr = nil
-}
-
-func (m *heapMerger) pull(i int) mergeSource {
-	e, ok := m.cursors[i].Next()
-	if !ok {
-		if err := m.cursors[i].Err(); err != nil && m.readErr == nil {
-			m.readErr = err
-		}
-		return mergeSource{list: i, ok: false}
-	}
-	return mergeSource{head: e, list: i, ok: true}
-}
-
-func (m *heapMerger) lessSrc(a, b mergeSource) bool {
-	if a.head.Phrase != b.head.Phrase {
-		return a.head.Phrase < b.head.Phrase
-	}
-	return a.list < b.list
-}
-
-func (m *heapMerger) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !m.lessSrc(m.heap[i], m.heap[parent]) {
-			break
-		}
-		m.heap[i], m.heap[parent] = m.heap[parent], m.heap[i]
-		i = parent
-	}
-}
-
-func (m *heapMerger) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(m.heap) && m.lessSrc(m.heap[l], m.heap[smallest]) {
-			smallest = l
-		}
-		if r < len(m.heap) && m.lessSrc(m.heap[r], m.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		m.heap[i], m.heap[smallest] = m.heap[smallest], m.heap[i]
-		i = smallest
-	}
-}
-
-func (m *heapMerger) next() (plist.Entry, int, bool) {
-	if len(m.heap) == 0 {
-		return plist.Entry{}, 0, false
-	}
-	top := m.heap[0]
-	refill := m.pull(top.list)
-	if refill.ok {
-		m.heap[0] = refill
-		m.down(0)
-	} else {
-		last := len(m.heap) - 1
-		m.heap[0] = m.heap[last]
-		m.heap = m.heap[:last]
-		if len(m.heap) > 0 {
-			m.down(0)
-		}
-	}
-	return top.head, top.list, true
-}
-
-func (m *heapMerger) err() error { return m.readErr }

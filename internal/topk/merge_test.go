@@ -10,8 +10,8 @@ import (
 	"phrasemine/internal/plist"
 )
 
-// drain pulls every entry from a merger in order.
-func drain(t *testing.T, m merger) []plist.Entry {
+// drain pulls every entry from the merger in order.
+func drain(t *testing.T, m *loserTree) []plist.Entry {
 	t.Helper()
 	var out []plist.Entry
 	for {
@@ -46,75 +46,49 @@ func randomIDLists(rng *rand.Rand, r, universe, maxLen int) []plist.IDList {
 	return out
 }
 
-func mergersUnderTest(lists []plist.IDList) map[string]func() merger {
-	mk := func() []plist.Cursor {
-		cs := make([]plist.Cursor, len(lists))
-		for i, l := range lists {
-			cs[i] = plist.NewMemCursor(l)
-		}
-		return cs
+// treeOver seats a fresh loser tree over memory cursors on the lists.
+func treeOver(lists []plist.IDList) *loserTree {
+	cs := make([]plist.Cursor, len(lists))
+	for i, l := range lists {
+		cs[i] = plist.NewMemCursor(l)
 	}
-	return map[string]func() merger{
-		"loserTree": func() merger { return newLoserTree(mk()) },
-		"heap":      func() merger { return newHeapMerger(mk()) },
-	}
+	return new(loserTree).reset(cs)
 }
 
-func TestMergersProduceSortedOutput(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 60; trial++ {
-		lists := randomIDLists(rng, 1+rng.Intn(6), 100, 50)
-		total := 0
-		for _, l := range lists {
-			total += len(l)
-		}
-		for name, mk := range mergersUnderTest(lists) {
-			got := drain(t, mk())
-			if len(got) != total {
-				t.Fatalf("%s trial %d: drained %d entries, want %d", name, trial, len(got), total)
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i].Phrase < got[i-1].Phrase {
-					t.Fatalf("%s trial %d: output not sorted at %d", name, trial, i)
-				}
-			}
-		}
+// referenceMerge is the specification the loser tree is held to: every
+// entry of every list, stably sorted by phrase ID, so equal IDs keep list
+// order.
+func referenceMerge(lists []plist.IDList) []plist.Entry {
+	var out []plist.Entry
+	for _, l := range lists {
+		out = append(out, l...)
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Phrase < out[j].Phrase })
+	return out
 }
 
-func TestMergersAgree(t *testing.T) {
+func TestLoserTreeMatchesSortedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 60; trial++ {
-		lists := randomIDLists(rng, 2+rng.Intn(5), 80, 40)
-		ms := mergersUnderTest(lists)
-		a := drain(t, ms["loserTree"]())
-		b := drain(t, ms["heap"]())
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("trial %d: loser tree and heap merge disagree", trial)
+	for trial := 0; trial < 120; trial++ {
+		lists := randomIDLists(rng, 1+rng.Intn(6), 80, 50)
+		got, want := drain(t, treeOver(lists)), referenceMerge(lists)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: loser tree and sort-based reference disagree\n got %v\nwant %v", trial, got, want)
 		}
 	}
 }
 
 func TestMergerSingleList(t *testing.T) {
 	l := plist.IDList{e(1, 0.9), e(5, 0.5), e(9, 0.1)}
-	for name, mk := range mergersUnderTest([]plist.IDList{l}) {
-		got := drain(t, mk())
-		if len(got) != 3 {
-			t.Fatalf("%s: drained %d", name, len(got))
-		}
-		for i := range got {
-			if got[i] != l[i] {
-				t.Fatalf("%s: entry %d = %v", name, i, got[i])
-			}
-		}
+	got := drain(t, treeOver([]plist.IDList{l}))
+	if !reflect.DeepEqual(got, []plist.Entry(l)) {
+		t.Fatalf("drained %v, want %v", got, l)
 	}
 }
 
 func TestMergerAllEmpty(t *testing.T) {
-	for name, mk := range mergersUnderTest([]plist.IDList{nil, nil, nil}) {
-		if got := drain(t, mk()); len(got) != 0 {
-			t.Fatalf("%s: drained %d from empty lists", name, len(got))
-		}
+	if got := drain(t, treeOver([]plist.IDList{nil, nil, nil})); len(got) != 0 {
+		t.Fatalf("drained %d from empty lists", len(got))
 	}
 }
 
@@ -123,13 +97,11 @@ func TestMergerDuplicateIDsAcrossLists(t *testing.T) {
 	l1 := plist.IDList{e(4, 0.1), e(7, 0.2)}
 	l2 := plist.IDList{e(4, 0.3), e(9, 0.4)}
 	l3 := plist.IDList{e(4, 0.5)}
-	for name, mk := range mergersUnderTest([]plist.IDList{l1, l2, l3}) {
-		got := drain(t, mk())
-		wantIDs := []phrasedict.PhraseID{4, 4, 4, 7, 9}
-		for i, w := range wantIDs {
-			if got[i].Phrase != w {
-				t.Fatalf("%s: order = %v", name, got)
-			}
+	got := drain(t, treeOver([]plist.IDList{l1, l2, l3}))
+	wantIDs := []phrasedict.PhraseID{4, 4, 4, 7, 9}
+	for i, w := range wantIDs {
+		if got[i].Phrase != w {
+			t.Fatalf("order = %v", got)
 		}
 	}
 }
@@ -138,10 +110,8 @@ func TestMergerStableByListIndex(t *testing.T) {
 	// Equal IDs must be emitted in list order for determinism.
 	l1 := plist.IDList{e(4, 0.111)}
 	l2 := plist.IDList{e(4, 0.222)}
-	for name, mk := range mergersUnderTest([]plist.IDList{l1, l2}) {
-		got := drain(t, mk())
-		if got[0].Prob != 0.111 || got[1].Prob != 0.222 {
-			t.Fatalf("%s: tie not broken by list index: %v", name, got)
-		}
+	got := drain(t, treeOver([]plist.IDList{l1, l2}))
+	if got[0].Prob != 0.111 || got[1].Prob != 0.222 {
+		t.Fatalf("tie not broken by list index: %v", got)
 	}
 }

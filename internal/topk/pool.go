@@ -23,9 +23,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{sem: make(chan struct{}, workers)}
 }
 
-// Cap reports the pool's concurrency bound.
-func (p *Pool) Cap() int { return cap(p.sem) }
-
 // Run executes every task and returns when all have completed. Tasks run
 // concurrently up to the pool bound; the remainder run inline in submission
 // order. Tasks must confine panics (a panicking task crashes the process,

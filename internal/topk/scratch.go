@@ -57,10 +57,9 @@ type Scratch struct {
 	mem     []plist.MemCursor
 	blk     []plist.BlockCursor
 
-	// SMJ reuse: bounded selection heap and the two k-way mergers.
+	// SMJ reuse: bounded selection heap and the k-way merger.
 	top []scored
 	lt  loserTree
-	hm  heapMerger
 
 	// Sharded scatter-gather reuse: the partial-result loser tree plus the
 	// per-feature count and probability buffers of MergePartials/ScanGroups.
@@ -288,7 +287,6 @@ func (s *Scratch) release() {
 		s.blk[i].Reset(plist.BlockList{})
 	}
 	s.lt.release()
-	s.hm.release()
 	s.pm.release()
 }
 

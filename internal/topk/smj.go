@@ -16,9 +16,6 @@ type SMJOptions struct {
 	K int
 	// Op selects AND or OR scoring.
 	Op corpus.Operator
-	// UseHeapMerge swaps the loser-tree k-way merge for a binary heap
-	// (ablation switch; results are identical).
-	UseHeapMerge bool
 	// SecondOrderOR scores OR queries with the second-order truncation
 	// of the inclusion-exclusion expansion (Eq. 11 of the paper, cut at
 	// x >= 2) instead of the paper's default first-order form (Eq. 12):
@@ -86,12 +83,7 @@ func SMJScratch(cursors []plist.Cursor, opt SMJOptions, s *Scratch) ([]Result, S
 	if err := ctxErr(opt.Ctx); err != nil {
 		return nil, SMJStats{}, err
 	}
-	var m merger
-	if opt.UseHeapMerge {
-		m = s.hm.reset(cursors)
-	} else {
-		m = s.lt.reset(cursors)
-	}
+	m := s.lt.reset(cursors)
 
 	r := len(cursors)
 	var stats SMJStats

@@ -181,28 +181,6 @@ func TestSMJAgreesWithNRAOnPartialLists(t *testing.T) {
 	}
 }
 
-func TestSMJHeapMergeAblationIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(5150))
-	for trial := 0; trial < 50; trial++ {
-		lists := randomLists(rng, 2+rng.Intn(4), 60, 50)
-		op := corpus.OpOR
-		if trial%2 == 0 {
-			op = corpus.OpAND
-		}
-		tree, _, err := SMJ(idCursorsOf(lists...), SMJOptions{K: 5, Op: op})
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap, _, err := SMJ(idCursorsOf(lists...), SMJOptions{K: 5, Op: op, UseHeapMerge: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(idsOfResults(tree), idsOfResults(heap)) {
-			t.Fatalf("trial %d: loser tree %v != heap %v", trial, idsOfResults(tree), idsOfResults(heap))
-		}
-	}
-}
-
 func TestSMJTieBreaking(t *testing.T) {
 	// Phrases 5 and 3 tie on score; 3 must rank first (ascending ID).
 	l := plist.ScoreList{e(5, 0.5), e(3, 0.5), e(1, 0.1)}

@@ -362,11 +362,9 @@ type Miner struct {
 	ix     *core.Index
 	// sh is the sharded multi-segment engine; exactly one of ix and sh is
 	// non-nil (Config.Segments > 1 selects sh).
-	sh       *core.ShardedIndex
-	cfg      Config
-	smjMu    sync.Mutex
-	smjCache map[float64]*core.SMJIndex
-	delta    *core.Delta
+	sh    *core.ShardedIndex
+	cfg   Config
+	delta *core.Delta
 	// gmPool recycles GM clones (each owns |P|-sized counting scratch)
 	// across queries, so concurrent AlgoGM calls get private scratch
 	// without a fresh multi-megabyte allocation per query. Replaced on
@@ -484,20 +482,14 @@ func newMiner(c *corpus.Corpus, cfg Config) (*Miner, error) {
 			return nil, err
 		}
 		cfg.Segments = sh.NumSegments() // record the clamped count
-		// The monolithic SMJ/GM caches (smjCache, gmPool) stay nil: the
-		// sharded engine owns its own per-segment caches.
+		// gmPool stays nil: the sharded engine pools GM scratch per segment.
 		return &Miner{sh: sh, cfg: cfg}, nil
 	}
 	ix, err := core.Build(c, opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Miner{
-		ix:       ix,
-		cfg:      cfg,
-		smjCache: make(map[float64]*core.SMJIndex),
-		gmPool:   &sync.Pool{},
-	}, nil
+	return &Miner{ix: ix, cfg: cfg, gmPool: &sync.Pool{}}, nil
 }
 
 // NumDocuments reports the corpus size |D|.
@@ -649,9 +641,8 @@ func prepareQuery(keywords []string, op Operator, opt QueryOptions) (preparedQue
 		return preparedQuery{}, fmt.Errorf("phrasemine: Window must be non-negative, got %v", opt.Window)
 	}
 	if math.IsNaN(opt.ListFraction) {
-		// NaN slips through every range guard (all comparisons are false)
-		// and would poison the fraction-keyed SMJ caches; reject it like
-		// the other invalid options.
+		// NaN slips through every range guard (all comparisons are false);
+		// reject it like the other invalid options.
 		return preparedQuery{}, fmt.Errorf("phrasemine: ListFraction must not be NaN")
 	}
 	frac := opt.ListFraction
@@ -723,41 +714,8 @@ func (m *Miner) mineOne(ctx context.Context, p preparedQuery, sc *plist.ShareCac
 	}
 
 	switch p.algo {
-	case AlgoNRA:
-		var (
-			results []topk.Result
-			err     error
-		)
-		opt := topk.NRAOptions{K: p.k, Fraction: p.frac, Ctx: ctx}
-		if m.deltaActive() {
-			results, _, err = m.delta.QueryNRA(p.q, opt)
-		} else if sc != nil {
-			results, _, err = m.ix.QueryNRAShared(p.q, opt, sc)
-		} else {
-			results, _, err = m.ix.QueryNRA(p.q, opt)
-		}
-		if err != nil {
-			return Mined{}, err
-		}
-		res, err := m.resolve(results, p.q)
-		if err != nil {
-			return Mined{}, err
-		}
-		return m.mergeTailLocked(Mined{Results: res}, p)
-	case AlgoSMJ:
-		smj, err := m.smjIndex(p.frac)
-		if err != nil {
-			return Mined{}, err
-		}
-		var results []topk.Result
-		opt := topk.SMJOptions{K: p.k, Ctx: ctx}
-		if m.deltaActive() {
-			results, _, err = m.delta.QuerySMJ(smj, p.q, opt)
-		} else if sc != nil {
-			results, _, err = m.ix.QuerySMJShared(smj, p.q, opt, sc)
-		} else {
-			results, _, err = m.ix.QuerySMJ(smj, p.q, opt)
-		}
+	case AlgoNRA, AlgoSMJ:
+		results, err := m.mineLists(ctx, p, sc)
 		if err != nil {
 			return Mined{}, err
 		}
@@ -799,6 +757,34 @@ func (m *Miner) mineOne(ctx context.Context, p preparedQuery, sc *plist.ShareCac
 	}
 }
 
+// mineLists runs a list algorithm on the monolithic engine: through the
+// delta while updates are pending (it corrects the stored probabilities at
+// read time), otherwise straight off the index, decoding through sc when
+// the batch planned a shared scan. The ID-ordered copy SMJ reads is the
+// index's own cached one for the fraction. Called with the read lock held.
+func (m *Miner) mineLists(ctx context.Context, p preparedQuery, sc *plist.ShareCache) (results []topk.Result, err error) {
+	if p.algo == AlgoNRA {
+		opt := topk.NRAOptions{K: p.k, Fraction: p.frac, Ctx: ctx}
+		if m.deltaActive() {
+			results, _, err = m.delta.QueryNRA(p.q, opt)
+		} else {
+			results, _, err = m.ix.QueryNRAShared(p.q, opt, sc)
+		}
+		return results, err
+	}
+	smj, err := m.ix.SMJ(p.frac)
+	if err != nil {
+		return nil, err
+	}
+	opt := topk.SMJOptions{K: p.k, Ctx: ctx}
+	if m.deltaActive() {
+		results, _, err = m.delta.QuerySMJ(smj, p.q, opt)
+	} else {
+		results, _, err = m.ix.QuerySMJShared(smj, p.q, opt, sc)
+	}
+	return results, err
+}
+
 // mineSharded answers a query on the sharded engine. The list algorithms
 // (NRA selects the adaptive per-shard scatter where sound, SMJ the
 // exhaustive per-segment scan) both gather to the canonical global top-k —
@@ -810,40 +796,28 @@ func (m *Miner) mineOne(ctx context.Context, p preparedQuery, sc *plist.ShareCac
 func (m *Miner) mineSharded(ctx context.Context, p preparedQuery) (Mined, error) {
 	switch p.algo {
 	case AlgoNRA, AlgoSMJ:
-		if p.partial {
-			total := m.sh.NumSegments()
-			results, done, err := m.sh.QuerySMJPartial(ctx, p.q, p.k, p.frac)
-			if err != nil {
-				return Mined{}, err
-			}
-			res, err := m.resolveSharded(results, p.q)
-			if err != nil {
-				return Mined{}, err
-			}
-			return m.mergeTailLocked(Mined{
-				Results:       res,
-				Degraded:      done < total,
-				SegmentsTotal: total,
-				SegmentsDone:  done,
-			}, p)
-		}
 		var (
+			out     Mined
 			results []topk.Result
 			err     error
 		)
-		if p.algo == AlgoNRA {
+		switch {
+		case p.partial:
+			out.SegmentsTotal = m.sh.NumSegments()
+			results, out.SegmentsDone, err = m.sh.QuerySMJPartial(ctx, p.q, p.k, p.frac)
+			out.Degraded = out.SegmentsDone < out.SegmentsTotal
+		case p.algo == AlgoNRA:
 			results, err = m.sh.QueryNRA(ctx, p.q, p.k, p.frac)
-		} else {
+		default:
 			results, err = m.sh.QuerySMJ(ctx, p.q, p.k, p.frac)
 		}
 		if err != nil {
 			return Mined{}, err
 		}
-		res, err := m.resolveSharded(results, p.q)
-		if err != nil {
+		if out.Results, err = m.resolveSharded(results, p.q); err != nil {
 			return Mined{}, err
 		}
-		return m.mergeTailLocked(Mined{Results: res}, p)
+		return m.mergeTailLocked(out, p)
 	case AlgoGM, AlgoExact:
 		// Both baselines compute the same exact interestingness; the
 		// sharded engine serves them through one scatter-gather.
@@ -1116,27 +1090,6 @@ func batchSignature(q corpus.Query) string {
 	fs := append([]string(nil), q.Features...)
 	sort.Strings(fs)
 	return strings.Join(fs, "\x00")
-}
-
-// smjIndex returns the cached ID-ordered index for a fraction, building it
-// on first use. The cache has its own mutex (queries hold only the read
-// lock, so two concurrent SMJ queries may race here); holding it across
-// the build means the second caller waits instead of building a duplicate.
-// Build failures (corrupt compressed lists on a mapped miner) are not
-// cached: the underlying decode layers cache their own sticky errors, so
-// a retry fails fast with the same ErrCorruptSnapshot.
-func (m *Miner) smjIndex(frac float64) (*core.SMJIndex, error) {
-	m.smjMu.Lock()
-	defer m.smjMu.Unlock()
-	if s, ok := m.smjCache[frac]; ok {
-		return s, nil
-	}
-	s, err := m.ix.BuildSMJ(frac)
-	if err != nil {
-		return nil, err
-	}
-	m.smjCache[frac] = s
-	return s, nil
 }
 
 func (m *Miner) resolve(results []topk.Result, q corpus.Query) ([]Result, error) {
@@ -1513,8 +1466,8 @@ func (m *Miner) flushLocked() error {
 	if m.sh != nil {
 		// Sharded flush rebuilds only the touched segments (typically just
 		// the write segment) plus any segment whose phrases crossed the
-		// global document-frequency threshold; the engine invalidates its
-		// own per-segment caches.
+		// global document-frequency threshold. A rebuilt segment is a new
+		// Index with empty caches; untouched segments keep theirs.
 		return m.sh.Flush()
 	}
 	if m.delta == nil || m.delta.Size() == 0 {
@@ -1533,9 +1486,6 @@ func (m *Miner) flushLocked() error {
 	if err := old.Close(); err != nil {
 		return err
 	}
-	m.smjMu.Lock()
-	m.smjCache = make(map[float64]*core.SMJIndex)
-	m.smjMu.Unlock()
 	m.gmPool = &sync.Pool{} // clones of the old index must not be reused
 	return nil
 }
@@ -1777,7 +1727,6 @@ func LoadMiner(r io.Reader, workers int) (*Miner, error) {
 	return &Miner{
 		ix:        ix,
 		cfg:       cfg,
-		smjCache:  make(map[float64]*core.SMJIndex),
 		gmPool:    &sync.Pool{},
 		walMarker: marker,
 	}, nil
@@ -1852,7 +1801,6 @@ func OpenMinerMapped(path string, workers int) (*Miner, error) {
 	return &Miner{
 		ix:        ix,
 		cfg:       cfg,
-		smjCache:  make(map[float64]*core.SMJIndex),
 		gmPool:    &sync.Pool{},
 		walMarker: marker,
 	}, nil
@@ -1928,6 +1876,11 @@ type IndexStats struct {
 	// SharedScanMisses counts the block decodes that populated those
 	// shared-scan caches. Cumulative over the miner's lifetime.
 	SharedScanMisses int64 `json:"shared_scan_misses,omitempty"`
+	// IDOrderedCopies counts the resident ID-ordered copies of the word
+	// lists SMJ reads (Section 4.4.1): the full-list copy plus a bounded
+	// number of partial ListFraction values per index (summed over
+	// segments), each built on first use.
+	IDOrderedCopies int `json:"id_ordered_copies,omitempty"`
 }
 
 // IndexStats reports the miner's current index footprint, aggregated over
@@ -1960,6 +1913,7 @@ func (m *Miner) IndexStats() IndexStats {
 		PackedBytes:      s.PackedBytes,
 		SharedScanHits:   m.sharedHits.Load(),
 		SharedScanMisses: m.sharedMisses.Load(),
+		IDOrderedCopies:  s.IDOrderedCopies,
 	}
 }
 

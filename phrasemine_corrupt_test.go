@@ -1,9 +1,11 @@
 package phrasemine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,9 +23,10 @@ import (
 // sectionSpan locates one section payload inside snapshot bytes, parsed
 // straight from the container layout (see diskio/snapshot.go).
 type sectionSpan struct {
-	name string
-	off  int64
-	size int64
+	name   string
+	off    int64
+	size   int64
+	crcOff int64 // where the section header keeps the payload's CRC-32
 }
 
 func parseSectionSpans(t *testing.T, data []byte) []sectionSpan {
@@ -38,11 +41,12 @@ func parseSectionSpans(t *testing.T, data []byte) []sectionSpan {
 		nameLen := int64(binary.LittleEndian.Uint16(data[off:]))
 		name := string(data[off+2 : off+2+nameLen])
 		size := int64(binary.LittleEndian.Uint64(data[off+2+nameLen:]))
+		crcOff := off + 2 + nameLen + 8
 		off += 2 + nameLen + 12
 		if size > 0 {
 			off += (diskio.SnapshotAlign - off%diskio.SnapshotAlign) % diskio.SnapshotAlign
 		}
-		spans = append(spans, sectionSpan{name: name, off: off, size: size})
+		spans = append(spans, sectionSpan{name: name, off: off, size: size, crcOff: crcOff})
 		off += size
 	}
 	return spans
@@ -160,6 +164,37 @@ func TestCorruptSnapshotNeverPanics(t *testing.T) {
 			if mm := openMutant(t, t.TempDir(), fmt.Sprintf("header@%d", off), mutant); mm != nil {
 				runQueriesOnMutant(t, fmt.Sprintf("header@%d", off), mm)
 				mm.Close()
+			}
+		}
+	})
+
+	// The v1 list and posting containers (PMBLSET1 / PMINVBK1) have no
+	// reader any more: a section announcing one must be refused as corrupt
+	// by both loaders. The section checksum is recomputed so the heap
+	// loader's CRC does not mask the magic check.
+	t.Run("v1-magic", func(t *testing.T) {
+		for _, magic := range []string{"PMBLSET2", "PMINVBK2"} {
+			var hit *sectionSpan
+			for i := range spans {
+				if bytes.HasPrefix(good[spans[i].off:], []byte(magic)) {
+					hit = &spans[i]
+				}
+			}
+			if hit == nil {
+				t.Fatalf("no section carries a %s container", magic)
+			}
+			mutant := append([]byte(nil), good...)
+			mutant[hit.off+7] = '1'
+			binary.LittleEndian.PutUint32(mutant[hit.crcOff:], crc32.ChecksumIEEE(mutant[hit.off:hit.off+hit.size]))
+			path := filepath.Join(t.TempDir(), "v1.snap")
+			if err := os.WriteFile(path, mutant, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if mm, err := OpenMinerMapped(path, 2); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Errorf("%s -> v1, mapped open: got (%v, %v), want an error wrapping ErrCorruptSnapshot", magic, mm, err)
+			}
+			if mm, err := LoadMinerFile(path, 2); !errors.Is(err, ErrCorruptSnapshot) {
+				t.Errorf("%s -> v1, heap load: got (%v, %v), want an error wrapping ErrCorruptSnapshot", magic, mm, err)
 			}
 		}
 	})

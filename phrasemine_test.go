@@ -3,8 +3,11 @@ package phrasemine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"phrasemine/internal/core"
 )
 
 // newsCorpus fabricates a small plain-text corpus with two clear topics so
@@ -152,6 +155,51 @@ func TestMinePartialLists(t *testing.T) {
 	}
 	if len(res2) == 0 {
 		t.Fatal("auto algorithm returned nothing")
+	}
+}
+
+// TestIDOrderedCopiesBounded drives more distinct ListFraction values
+// through SMJ than an index keeps ID-ordered copies for. The fraction is
+// the caller's to choose (over HTTP, the client's) and every new value
+// builds a second physical copy of that share of the lists, so residency
+// must stay at the full-list copy plus core.MaxPartialSMJ partial ones per
+// index — and an answer must not depend on what was evicted before it.
+func TestIDOrderedCopiesBounded(t *testing.T) {
+	for _, segments := range []int{0, 3} {
+		build := newTestMiner
+		perIndex := 1
+		if segments > 0 {
+			build = func(t *testing.T) *Miner { return newShardedTestMiner(t, segments) }
+			perIndex = segments
+		}
+		limit := perIndex * (1 + core.MaxPartialSMJ)
+		m := build(t)
+		mine := func(m *Miner, frac float64) []Result {
+			t.Helper()
+			res, err := m.Mine([]string{"trade", "reserves"}, OR, QueryOptions{K: 5, Algorithm: AlgoSMJ, ListFraction: frac})
+			if err != nil {
+				t.Fatalf("segments=%d frac=%v: %v", segments, frac, err)
+			}
+			return res
+		}
+		var fracs []float64
+		for i := 0; i < core.MaxPartialSMJ+2; i++ {
+			fracs = append(fracs, 0.3+0.1*float64(i))
+		}
+		fracs = append(fracs, 1, fracs[0]) // the full lists, then an evicted value again
+		for _, frac := range fracs {
+			// A fresh miner has seen no other fraction: its answer is the
+			// reference for this one.
+			if got, want := mine(m, frac), mine(build(t), frac); !reflect.DeepEqual(got, want) {
+				t.Errorf("segments=%d frac=%v: answer after evictions %v, fresh miner %v", segments, frac, got, want)
+			}
+			if n := m.IndexStats().IDOrderedCopies; n > limit {
+				t.Fatalf("segments=%d: %d ID-ordered copies resident after frac=%v, limit %d", segments, n, frac, limit)
+			}
+		}
+		if n := m.IndexStats().IDOrderedCopies; n != limit {
+			t.Errorf("segments=%d: %d ID-ordered copies resident after the sweep, want the cache full at %d", segments, n, limit)
+		}
 	}
 }
 
