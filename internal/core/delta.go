@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -27,13 +28,9 @@ type Delta struct {
 	removed map[corpus.DocID]bool
 	// dDF[p] is the pending change to |docs(p)|.
 	dDF map[phrasedict.PhraseID]int
-	// dCo[{f,p}] is the pending change to |docs(f) ∩ docs(p)|.
-	dCo map[featurePhrase]int
-}
-
-type featurePhrase struct {
-	feature string
-	phrase  phrasedict.PhraseID
+	// dCo[f][p] is the pending change to |docs(f) ∩ docs(p)|, indexed by
+	// feature so a query touches only its own features' pairs.
+	dCo map[string]map[phrasedict.PhraseID]int
 }
 
 // NewDelta starts an empty delta over the index. On a mapped index this
@@ -48,7 +45,7 @@ func (ix *Index) NewDelta() (*Delta, error) {
 		ix:      ix,
 		removed: make(map[corpus.DocID]bool),
 		dDF:     make(map[phrasedict.PhraseID]int),
-		dCo:     make(map[featurePhrase]int),
+		dCo:     make(map[string]map[phrasedict.PhraseID]int),
 	}, nil
 }
 
@@ -90,11 +87,17 @@ func (d *Delta) docPhrases(tokens []string) ([]phrasedict.PhraseID, error) {
 
 // apply folds one document's counts into the delta with the given sign.
 func (d *Delta) apply(doc corpus.Document, phrases []phrasedict.PhraseID, sign int) {
-	features := corpus.FeatureSet(doc)
 	for _, p := range phrases {
 		d.dDF[p] += sign
-		for f := range features {
-			d.dCo[featurePhrase{f, p}] += sign
+	}
+	for f := range corpus.FeatureSet(doc) {
+		co := d.dCo[f]
+		if co == nil {
+			co = make(map[phrasedict.PhraseID]int, len(phrases))
+			d.dCo[f] = co
+		}
+		for _, p := range phrases {
+			co[p] += sign
 		}
 	}
 }
@@ -135,10 +138,16 @@ func (d *Delta) RemoveDocument(id corpus.DocID) error {
 // and the base document frequency (prob = co/df exactly, both integers at
 // build time).
 func (d *Delta) AdjustedProb(feature string, p phrasedict.PhraseID, stored float64) float64 {
+	return d.adjusted(d.dCo[feature], p, stored)
+}
+
+// adjusted is AdjustedProb over one feature's pending pair counts (nil when
+// the feature has none).
+func (d *Delta) adjusted(dco map[phrasedict.PhraseID]int, p phrasedict.PhraseID, stored float64) float64 {
 	df := int(d.ix.PhraseDF[p])
 	co := int(math.Round(stored * float64(df)))
 	df += d.dDF[p]
-	co += d.dCo[featurePhrase{feature, p}]
+	co += dco[p]
 	if df <= 0 || co <= 0 {
 		return 0
 	}
@@ -159,15 +168,16 @@ func (d *Delta) extras(feature string) ([]plist.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	for key, dco := range d.dCo {
-		if key.feature != feature || dco <= 0 {
+	co := d.dCo[feature]
+	for p, dco := range co {
+		if dco <= 0 {
 			continue
 		}
-		if corpus.IntersectCount2(featureDocs, d.ix.PhraseDocs[key.phrase]) > 0 {
+		if corpus.IntersectCount2(featureDocs, d.ix.PhraseDocs[p]) > 0 {
 			continue // pair exists in the stored list; adjusted in place
 		}
-		if prob := d.AdjustedProb(feature, key.phrase, 0); prob > 0 {
-			out = append(out, plist.Entry{Phrase: key.phrase, Prob: prob})
+		if prob := d.adjusted(co, p, 0); prob > 0 {
+			out = append(out, plist.Entry{Phrase: p, Prob: prob})
 		}
 	}
 	return out, nil
@@ -180,9 +190,9 @@ func (d *Delta) extras(feature string) ([]plist.Entry, error) {
 // "such probability adjustments make NRA's pruning phase approximate";
 // SMJ is unaffected because it never relies on score order.
 type adjustedCursor struct {
-	inner   plist.Cursor
-	delta   *Delta
-	feature string
+	inner plist.Cursor
+	delta *Delta
+	co    map[phrasedict.PhraseID]int // the feature's pending pair counts
 }
 
 func (c *adjustedCursor) Len() int { return c.inner.Len() }
@@ -193,7 +203,7 @@ func (c *adjustedCursor) Next() (plist.Entry, bool) {
 		if !ok {
 			return plist.Entry{}, false
 		}
-		adj := c.delta.AdjustedProb(c.feature, e.Phrase, e.Prob)
+		adj := c.delta.adjusted(c.co, e.Phrase, e.Prob)
 		if adj == 0 {
 			continue
 		}
@@ -320,7 +330,7 @@ func (d *Delta) adjust(cursors []plist.Cursor, features []string, join func(inne
 			errs[i] = err
 			return
 		}
-		cursors[i] = join(&adjustedCursor{inner: cursors[i], delta: d, feature: features[i]}, extras)
+		cursors[i] = join(&adjustedCursor{inner: cursors[i], delta: d, co: d.dCo[features[i]]}, extras)
 	})
 	return firstError(errs)
 }
@@ -329,13 +339,47 @@ func (d *Delta) adjust(cursors []plist.Cursor, features []string, join func(inne
 // minus removals, plus additions) and returns it. The delta itself is left
 // untouched; callers switch to the new index and discard the delta.
 func (d *Delta) Flush() (*Index, error) {
+	return d.Freeze().Build()
+}
+
+// FrozenDelta is the pending-update set of a Delta captured at one instant:
+// its removals and the additions made so far. It is the unit an off-lock
+// flush rebuilds while the live delta keeps accepting additions.
+type FrozenDelta struct {
+	ix      *Index
+	added   []corpus.Document
+	removed map[corpus.DocID]bool
+}
+
+// Freeze captures the delta's current pending updates. Additions made
+// afterwards append past the captured prefix and stay out of the view, so
+// the view may be built without the caller's lock while AddDocument keeps
+// running; RemoveDocument must wait until Rebase, because removals number
+// documents against the base index a rebuild renumbers.
+func (d *Delta) Freeze() FrozenDelta {
+	return FrozenDelta{
+		ix:      d.ix,
+		added:   d.added[:len(d.added):len(d.added)],
+		removed: maps.Clone(d.removed),
+	}
+}
+
+// Added reports the number of captured additions.
+func (f FrozenDelta) Added() int {
+	return len(f.added)
+}
+
+// Build rebuilds the index over the base documents minus the captured
+// removals, plus the captured additions in order. It only reads the base
+// index, so queries over the base may run concurrently.
+func (f FrozenDelta) Build() (*Index, error) {
 	merged := corpus.New()
-	for i := 0; i < d.ix.Corpus.Len(); i++ {
+	for i := 0; i < f.ix.Corpus.Len(); i++ {
 		id := corpus.DocID(i)
-		if d.removed[id] {
+		if f.removed[id] {
 			continue
 		}
-		doc, err := d.ix.Corpus.Doc(id)
+		doc, err := f.ix.Corpus.Doc(id)
 		if err != nil {
 			return nil, err
 		}
@@ -343,10 +387,29 @@ func (d *Delta) Flush() (*Index, error) {
 			return nil, err
 		}
 	}
-	for _, doc := range d.added {
+	for _, doc := range f.added {
 		if _, err := merged.Add(doc); err != nil {
 			return nil, err
 		}
 	}
-	return Build(merged, d.ix.opts)
+	return Build(merged, f.ix.opts)
+}
+
+// Rebase returns a delta over ix — the index f.Build produced — holding
+// the additions d received after f was frozen. It refuses if d gained
+// removals since the freeze: their document numbers refer to the old base.
+func (d *Delta) Rebase(ix *Index, f FrozenDelta) (*Delta, error) {
+	if len(d.removed) != len(f.removed) || len(d.added) < len(f.added) {
+		return nil, fmt.Errorf("core: delta changed beyond additions since it was frozen")
+	}
+	next, err := ix.NewDelta()
+	if err != nil {
+		return nil, err
+	}
+	for _, doc := range d.added[len(f.added):] {
+		if err := next.AddDocument(doc); err != nil {
+			return nil, err
+		}
+	}
+	return next, nil
 }

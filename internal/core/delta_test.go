@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"phrasemine/internal/corpus"
@@ -196,5 +197,67 @@ func TestDeltaProbClamping(t *testing.T) {
 	}
 	if got := d.AdjustedProb("alpha", abID, 1.0); got != 0 {
 		t.Fatalf("df=0 should clamp to 0, got %v", got)
+	}
+}
+
+// TestDeltaFreezeBuildRebase pins the off-lock flush seam: a frozen view
+// builds exactly the updates made before the freeze, Rebase carries the
+// later additions over to the rebuilt index (answering like a fresh delta
+// holding just those), and a removal after the freeze is refused.
+func TestDeltaFreezeBuildRebase(t *testing.T) {
+	ix := deltaFixture(t)
+	d := mustDelta(ix)
+	before := corpus.Document{Tokens: []string{"zeta", "eta"}}
+	after := corpus.Document{Tokens: []string{"alpha", "beta", "gamma"}}
+	for i := 0; i < 3; i++ {
+		if err := d.AddDocument(before); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.RemoveDocument(1); err != nil {
+		t.Fatal(err)
+	}
+	frozen := d.Freeze()
+	if err := d.AddDocument(after); err != nil {
+		t.Fatal(err)
+	}
+	built, err := frozen.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := built.Corpus.Len(), ix.Corpus.Len()-1+3; got != want || frozen.Added() != 3 {
+		t.Fatalf("frozen build has %d docs (%d additions), want %d (3)", got, frozen.Added(), want)
+	}
+	next, err := d.Rebase(built, frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Size() != 1 {
+		t.Fatalf("rebased delta holds %d updates, want the 1 addition after the freeze", next.Size())
+	}
+	fresh := mustDelta(built)
+	if err := fresh.AddDocument(after); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []corpus.Operator{corpus.OpAND, corpus.OpOR} {
+		q := corpus.NewQuery(op, "alpha", "beta")
+		got, _, err := next.QueryNRA(q, topk.NRAOptions{K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := fresh.QueryNRA(q, topk.NRAOptions{K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: rebased delta answers %v, fresh delta %v", q, got, want)
+		}
+	}
+
+	if err := d.RemoveDocument(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Rebase(built, frozen); err == nil {
+		t.Fatal("Rebase accepted a removal made after the freeze")
 	}
 }

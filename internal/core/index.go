@@ -127,6 +127,12 @@ type Index struct {
 	idClock  uint64
 }
 
+// BuildHook, when non-nil, is invoked on the building goroutine as every
+// Build starts. Tests use it to pause a running build (the miner's
+// off-lock Flush) and act inside it; set it only while no other build
+// runs.
+var BuildHook func()
+
 // Build constructs every index structure from the corpus. With
 // opt.Workers != 1 every stage — phrase extraction, phrase-doc and forward
 // index assembly, inverted-index construction and word-list building —
@@ -134,6 +140,9 @@ type Index struct {
 // deterministically, so the built index is byte-identical to the
 // Workers=1 build.
 func Build(c *corpus.Corpus, opt BuildOptions) (*Index, error) {
+	if hook := BuildHook; hook != nil {
+		hook()
+	}
 	if c == nil || c.Len() == 0 {
 		return nil, fmt.Errorf("core: empty corpus")
 	}

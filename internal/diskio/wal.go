@@ -13,12 +13,12 @@ package diskio
 //
 // The generation ties the log to the snapshot it extends: each durable
 // checkpoint (Flush persisting a snapshot/manifest) records the pair
-// (generation, records) it has absorbed, then truncates the log and bumps
-// the generation. Replay uses the marker to decide which prefix is
-// already inside the snapshot, which makes the checkpoint sequence
-// crash-safe at every step — including a crash between the snapshot
-// rename and the log truncation, where the whole surviving log is simply
-// skipped instead of double-applied.
+// (generation, records) it has absorbed, then replaces the log with the
+// next generation holding only the records appended after that point.
+// Replay uses the marker to decide which prefix is already inside the
+// snapshot, which makes the checkpoint sequence crash-safe at every step —
+// including a crash between the snapshot rename and the log replacement,
+// where the absorbed prefix is simply skipped instead of double-applied.
 //
 // Corruption policy, proven by TestWAL*/FuzzWALReplay: a torn or
 // bit-flipped final record (the only kind a crash of our own writer can
@@ -214,14 +214,14 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, []WALRecord, error) {
 		return nil, nil, fmt.Errorf("diskio: reading wal: %w", err)
 	}
 
-	// A file shorter than the header can only be a crash during creation
-	// or reset (the header is synced before any record): start over.
+	// A file shorter than the header can only be a crash while a log was
+	// created in place (the header is synced before any record): start
+	// over.
 	if !fresh && len(data) < walHeaderSize {
 		data = nil
 	}
 	if fresh || len(data) == 0 {
-		w.gen = markerGen + 1
-		if err := w.create(); err != nil {
+		if err := w.install(markerGen+1, nil, 0); err != nil {
 			return nil, nil, err
 		}
 		return w, nil, nil
@@ -244,8 +244,8 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, []WALRecord, error) {
 	case w.gen == markerGen:
 		skip = markerRecords
 	case w.gen == markerGen+1:
-		// Checkpoint truncation completed after the snapshot: the log
-		// holds only post-checkpoint records.
+		// The checkpoint replaced the log after the snapshot: it holds
+		// only the records appended after the marker.
 	default:
 		return nil, nil, Corruptf(
 			"diskio: wal generation %d does not extend snapshot marker (generation %d, %d records)",
@@ -284,35 +284,33 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, []WALRecord, error) {
 	return w, records[skip:], nil
 }
 
-// create writes a fresh header and makes the file's existence durable.
-func (w *WAL) create() error {
-	f, err := w.fs.OpenFile(w.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+// install makes the log generation gen holding body — n whole record
+// frames — through WriteFileAtomicFS, so a crash leaves either the
+// previous file or the complete new one, and reopens it for appending.
+// Every installed record is durable. The previous handle, if any, is
+// closed only once the new one is open; an error after the rename leaves
+// the path naming a file w.f does not, so Checkpoint marks the log broken
+// on any error.
+func (w *WAL) install(gen uint64, body []byte, n int64) error {
+	data := make([]byte, walHeaderSize, walHeaderSize+len(body))
+	copy(data, walMagic)
+	binary.LittleEndian.PutUint64(data[8:], gen)
+	data = append(data, body...)
+	if err := WriteFileAtomicFS(w.fs, w.path, data, 0o644); err != nil {
+		return fmt.Errorf("diskio: installing wal generation %d: %w", gen, err)
+	}
+	f, err := w.fs.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("diskio: creating wal: %w", err)
+		return fmt.Errorf("diskio: opening wal generation %d: %w", gen, err)
 	}
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return fmt.Errorf("diskio: resetting wal: %w", err)
-	}
-	hdr := make([]byte, walHeaderSize)
-	copy(hdr, walMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], w.gen)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("diskio: writing wal header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("diskio: syncing wal header: %w", err)
-	}
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		f.Close()
-		return fmt.Errorf("diskio: syncing wal dir: %w", err)
+	if w.f != nil {
+		w.f.Close()
 	}
 	w.f = f
-	w.size = walHeaderSize
-	w.records = 0
-	w.durableSeq = 0
+	w.gen = gen
+	w.size = int64(len(data))
+	w.records = n
+	w.durableSeq = n
 	w.appliedRecords = 0
 	w.appliedOffset = walHeaderSize
 	return nil
@@ -567,42 +565,74 @@ func (w *WAL) RollbackLast() error {
 	return nil
 }
 
-// Marker returns the (generation, records) pair a snapshot persisted now
-// should record: replaying a log that still matches this marker is a
-// no-op.
-func (w *WAL) Marker() WALMarker {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return WALMarker{Generation: w.gen, Records: w.records}
+// WALPosition is a point in the log captured under the writer's
+// serialization: the marker a snapshot holding every record up to it
+// carries, plus where those records end in the file.
+type WALPosition struct {
+	// Marker is the (generation, records) prefix up to this position.
+	Marker WALMarker
+	offset int64
 }
 
-// Reset truncates the log and starts the next generation. Call it only
-// after a checkpoint carrying Marker() is durable: a crash anywhere in
-// Reset leaves either the old fully-skippable log, an empty file, or the
-// new header — all of which reopen cleanly against the new snapshot.
-func (w *WAL) Reset() error {
+// Position returns the log's current end: a snapshot persisted with
+// Position().Marker makes replaying the log up to here a no-op.
+func (w *WAL) Position() WALPosition {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return WALPosition{Marker: WALMarker{Generation: w.gen, Records: w.records}, offset: w.size}
+}
+
+// Checkpoint records that every record up to at is applied to the index in
+// memory, so DiscardPendingUpdates truncates back to at and no further.
+// With absorbed set — a durable snapshot carrying at.Marker holds those
+// records — the log is also replaced by the next generation holding only
+// the records after at, so it never outgrows what arrived since the last
+// checkpoint. A crash anywhere in the replacement leaves either the old
+// log, which a reopen against at.Marker skips up to at, or the new one,
+// which it replays in full; both yield exactly the records after at.
+//
+// Checkpoint may run beside Append, RollbackLast and Sync. A record
+// appended after at, even one about to be rolled back, moves to the new
+// generation (RollbackLast's offset moves with it); syncMu keeps a
+// group-commit fsync off the file the replacement closes; and a sequence
+// number Append returned before the replacement names a record that is
+// durable afterwards, so Sync with it returns at once or after a spare
+// fsync.
+func (w *WAL) Checkpoint(at WALPosition, absorbed bool) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if at.Marker.Generation != w.gen || at.Marker.Records > w.records || at.Marker.Records < w.appliedRecords {
+		return fmt.Errorf("diskio: wal checkpoint at %+v does not lie in generation %d (records %d..%d)",
+			at.Marker, w.gen, w.appliedRecords, w.records)
+	}
+	w.appliedRecords = at.Marker.Records
+	w.appliedOffset = at.offset
+	if !absorbed {
+		return nil
+	}
 	if w.broken != nil {
 		return w.broken
 	}
-	w.f.Close()
-	w.gen++
-	if err := w.create(); err != nil {
+	var suffix []byte
+	if w.size > at.offset {
+		data, err := w.fs.ReadFile(w.path)
+		if err != nil {
+			return fmt.Errorf("diskio: reading wal records after the checkpoint: %w", err)
+		}
+		if int64(len(data)) < w.size {
+			return fmt.Errorf("diskio: wal holds %d bytes, want %d", len(data), w.size)
+		}
+		suffix = data[at.offset:w.size]
+	}
+	shift := at.offset - walHeaderSize
+	if err := w.install(w.gen+1, suffix, w.records-at.Marker.Records); err != nil {
 		w.broken = err
 		return err
 	}
+	w.prevSize = max(w.prevSize-shift, walHeaderSize)
 	return nil
-}
-
-// MarkApplied records that every record currently in the log has been
-// applied to the in-memory index (a Flush with no snapshot path to
-// checkpoint to). DiscardPendingUpdates truncates back to this point.
-func (w *WAL) MarkApplied() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.appliedRecords = w.records
-	w.appliedOffset = w.size
 }
 
 // TruncateToApplied drops every record after the last applied point; the
@@ -631,14 +661,6 @@ func (w *WAL) TruncateToApplied() error {
 		w.durableSeq = w.records
 	}
 	return nil
-}
-
-// NeedsCheckpoint reports whether the log holds records a checkpoint
-// could absorb and truncate.
-func (w *WAL) NeedsCheckpoint() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.records > 0
 }
 
 // CountReplaySkip adds n to the replay-skipped counter (records that

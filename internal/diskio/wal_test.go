@@ -191,7 +191,8 @@ func TestWALMarkerGenerations(t *testing.T) {
 	}
 	recs := walRecords()
 	appendAll(t, w, recs[:3])
-	marker := w.Marker()
+	pos := w.Position()
+	marker := pos.Marker
 	if marker.Generation != 1 || marker.Records != 3 {
 		t.Fatalf("marker = %+v", marker)
 	}
@@ -206,10 +207,13 @@ func TestWALMarkerGenerations(t *testing.T) {
 		t.Fatalf("same-gen marker should skip all, replayed %d", len(replay))
 	}
 
-	// After a checkpointed Reset the next generation replays only new
-	// records against the old marker.
-	if err := w.Reset(); err != nil {
+	// A checkpoint absorbing the whole log starts the next generation,
+	// which replays only new records against the old marker.
+	if err := w.Checkpoint(w.Position(), true); err != nil {
 		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Generation != 2 || st.Records != 0 {
+		t.Fatalf("after absorbing checkpoint: %+v", st)
 	}
 	appendAll(t, w, recs[3:])
 	w.Close()
@@ -266,7 +270,11 @@ func TestWALTruncateToApplied(t *testing.T) {
 	}
 	recs := walRecords()
 	appendAll(t, w, recs[:2])
-	w.MarkApplied()
+	// Applied in memory only: no snapshot absorbs the records, so the log
+	// keeps them and its generation.
+	if err := w.Checkpoint(w.Position(), false); err != nil {
+		t.Fatal(err)
+	}
 	appendAll(t, w, recs[2:])
 	if err := w.TruncateToApplied(); err != nil {
 		t.Fatal(err)
@@ -320,5 +328,180 @@ func TestWALBatchModeDurability(t *testing.T) {
 	}
 	if !reflect.DeepEqual(replay, recs[:2]) {
 		t.Fatalf("after crash: %d records survive, want the 2 synced ones", len(replay))
+	}
+}
+
+// walFileSize is the log's size on disk.
+func walFileSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, WALFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestWALCheckpointKeepsSuffix covers a checkpoint taken at a position
+// captured before more records arrived — a flush whose rebuild ran while
+// appends continued. Absorbed by a snapshot, the prefix leaves the file
+// and the suffix moves to the next generation; either file a crash can
+// leave behind replays exactly the suffix against the checkpoint's
+// marker, and a later discard cuts back to the checkpoint.
+func TestWALCheckpointKeepsSuffix(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := walRecords()
+	appendAll(t, w, recs[:3])
+	at := w.Position()
+	appendAll(t, w, recs[3:]) // arrives while the checkpoint is built
+
+	// Applied but not absorbed (the snapshot write failed): the log keeps
+	// everything — the state a crash before the replacement leaves — and
+	// reopening against the marker replays exactly the suffix.
+	if err := w.Checkpoint(at, false); err != nil {
+		t.Fatal(err)
+	}
+	full := w.Stats()
+	if full.Generation != 1 || full.Records != 4 {
+		t.Fatalf("unabsorbed checkpoint rewrote the log: %+v", full)
+	}
+	w.Close()
+	w, replay, err := OpenWAL(dir, WALOptions{Marker: &at.Marker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replay, recs[3:]) {
+		t.Fatalf("replay of the old log against marker %+v = %+v, want the suffix", at.Marker, replay)
+	}
+
+	// Absorbed: the log shrinks to the next generation holding the suffix.
+	if err := w.Checkpoint(at, true); err != nil {
+		t.Fatal(err)
+	}
+	st := w.Stats()
+	if want := full.Bytes - (at.offset - walHeaderSize); st.Generation != 2 || st.Records != 1 || st.Bytes != want {
+		t.Fatalf("absorbing checkpoint with a suffix: %+v, want generation 2, 1 record, %d bytes", st, want)
+	}
+	if got := walFileSize(t, dir); got != st.Bytes {
+		t.Fatalf("log file holds %d bytes, stats say %d", got, st.Bytes)
+	}
+	w.Close()
+	for _, marker := range []*WALMarker{&at.Marker, nil} {
+		w, replay, err = OpenWAL(dir, WALOptions{Marker: marker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if !reflect.DeepEqual(replay, recs[3:]) {
+			t.Fatalf("replay of the new log against marker %v = %+v, want the suffix", marker, replay)
+		}
+	}
+
+	// A live log checkpointed with a suffix discards back to the
+	// checkpoint, never into the absorbed prefix.
+	w, _, err = OpenWAL(dir, WALOptions{Marker: &at.Marker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, w, recs[:1])
+	at2 := w.Position()
+	appendAll(t, w, recs[1:2])
+	if err := w.Checkpoint(at2, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.TruncateToApplied(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Generation != 3 || st.Records != 0 || st.Bytes != walHeaderSize {
+		t.Fatalf("discard after checkpoint: %+v, want an empty generation 3", st)
+	}
+	w.Close()
+	w, replay, err = OpenWAL(dir, WALOptions{Marker: &at2.Marker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if len(replay) != 0 {
+		t.Fatalf("discarded suffix resurrected: %+v", replay)
+	}
+
+	// A position from another generation is refused.
+	if err := w.Checkpoint(WALPosition{Marker: WALMarker{Generation: 7, Records: 1}}, true); err == nil {
+		t.Fatal("checkpoint at a foreign generation accepted")
+	}
+}
+
+// TestWALCheckpointStaysBounded checkpoints a log whose every checkpoint
+// has records after it, as under steady ingest beside a flush: the file
+// holds only what arrived since the last checkpoint, never the history.
+func TestWALCheckpointStaysBounded(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	recs := walRecords()
+	var last WALStats
+	for round := 0; round < 50; round++ {
+		appendAll(t, w, recs[:3])
+		at := w.Position()
+		appendAll(t, w, recs[3:])
+		if err := w.Checkpoint(at, true); err != nil {
+			t.Fatal(err)
+		}
+		st := w.Stats()
+		if st.Records != 1 || (round > 0 && st.Bytes != last.Bytes) {
+			t.Fatalf("round %d: %+v after a checkpoint with one record after it (previous %+v)", round, st, last)
+		}
+		last = st
+	}
+	if got := walFileSize(t, dir); got != last.Bytes {
+		t.Fatalf("log file holds %d bytes, stats say %d", got, last.Bytes)
+	}
+}
+
+// TestWALCheckpointBesideAppend runs a checkpoint between an unsynced
+// batch-mode append after the checkpoint position and its group commit or
+// rollback: the sequence number Append returned still syncs, the rollback
+// removes exactly the moved record, and what survives a crash is what
+// was acknowledged.
+func TestWALCheckpointBesideAppend(t *testing.T) {
+	recs := walRecords()
+	for _, rollback := range []bool{false, true} {
+		mem := faultfs.NewMem()
+		w, _, err := OpenWAL("wal", WALOptions{Sync: WALSyncBatch, FS: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, w, recs[:2])
+		at := w.Position()
+		seq, err := w.Append(recs[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Checkpoint(at, true); err != nil {
+			t.Fatal(err)
+		}
+		want := recs[2:3]
+		if rollback {
+			if err := w.RollbackLast(); err != nil {
+				t.Fatal(err)
+			}
+			want = nil
+		} else if err := w.Sync(seq); err != nil {
+			t.Fatalf("sync with a sequence number from before the checkpoint: %v", err)
+		}
+		mem.Crash()
+		_, replay, err := OpenWAL("wal", WALOptions{FS: mem, Marker: &at.Marker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(replay, want) {
+			t.Fatalf("rollback=%v: replay after crash = %+v, want %+v", rollback, replay, want)
+		}
 	}
 }

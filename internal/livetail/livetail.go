@@ -12,9 +12,9 @@
 // these contributions into the base engine's gather (see topk.MergeLiveTail)
 // and marks sketch-served answers approximate.
 //
-// Concurrency contract: Add, Clear and Reset mutate and run under the
-// miner's write lock; Counts, WindowCounts and Stats only read and run
-// under its read lock.
+// Concurrency contract: Add, Clear, DropOldest and Reset mutate and run
+// under the miner's write lock; Counts, WindowCounts and Stats only read
+// and run under its read lock.
 package livetail
 
 import (
@@ -209,26 +209,42 @@ func (t *Tail) PairEstimate(f, p string) uint64 {
 // lock.
 func (t *Tail) Add(d corpus.Document) {
 	now := t.cfg.Now()
-	feats := corpus.FeatureSet(d)
-	// Hashed once per document so the per-pair sketch updates only mix.
-	hashes := make([]uint64, 0, len(feats))
-	for f := range feats {
-		hashes = append(hashes, sketch.HashKey(f))
-	}
-	phrases := t.extractPhrases(d.Tokens)
-	t.docs = append(t.docs, tailDoc{features: feats, phrases: phrases})
+	doc := tailDoc{features: corpus.FeatureSet(d), phrases: t.extractPhrases(d.Tokens)}
+	t.docs = append(t.docs, doc)
+	hashes := featureHashes(doc.features)
+	t.count(doc, hashes)
 	slot := t.win.Advance(now)
 	if t.winPhrases[slot] == nil {
 		t.winPhrases[slot] = make(map[string]int)
 	}
-	for _, p := range phrases {
-		t.df[p]++
+	for _, p := range doc.phrases {
 		t.winPhrases[slot][p]++
 		hp := sketch.HashKey(p)
 		for _, hf := range hashes {
-			ph := sketch.PairHash(hf, hp)
-			t.pairs.AddHash(ph, 1)
-			t.win.Add(now, ph, 1)
+			t.win.Add(now, sketch.PairHash(hf, hp), 1)
+		}
+	}
+}
+
+// featureHashes hashes a document's features once, so its per-pair sketch
+// updates only mix.
+func featureHashes(features map[string]struct{}) []uint64 {
+	hashes := make([]uint64, 0, len(features))
+	for f := range features {
+		hashes = append(hashes, sketch.HashKey(f))
+	}
+	return hashes
+}
+
+// count adds one buffered document to the whole-tail structures: its
+// phrases' document frequencies and its feature×phrase pairs in the
+// sketch. hashes are featureHashes(d.features).
+func (t *Tail) count(d tailDoc, hashes []uint64) {
+	for _, p := range d.phrases {
+		t.df[p]++
+		hp := sketch.HashKey(p)
+		for _, hf := range hashes {
+			t.pairs.AddHash(sketch.PairHash(hf, hp), 1)
 		}
 	}
 }
@@ -404,6 +420,27 @@ func (t *Tail) Clear() {
 	t.docs = nil
 	clear(t.df)
 	t.pairs.Reset()
+}
+
+// DropOldest removes the n oldest buffered documents — the ones a flush
+// folded into the base engine while later additions kept arriving — and
+// rebuilds the whole-tail structures from the survivors, so the tail then
+// answers exactly like a fresh one fed only the survivors. The windowed
+// ring is kept, as in Clear.
+func (t *Tail) DropOldest(n int) {
+	if n >= len(t.docs) {
+		t.Clear()
+		return
+	}
+	if n <= 0 {
+		return
+	}
+	keep := append([]tailDoc(nil), t.docs[n:]...)
+	t.Clear()
+	t.docs = keep
+	for _, d := range keep {
+		t.count(d, featureHashes(d.features))
+	}
 }
 
 // Reset additionally drops the windowed history — the discard path

@@ -2,6 +2,7 @@ package livetail
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -209,6 +210,78 @@ func TestWindowCountsAndCompaction(t *testing.T) {
 	tail.Reset()
 	if c, df := tail.WindowCounts(q, time.Hour); len(c) != 0 || len(df) != 0 {
 		t.Errorf("WindowCounts after Reset = %v/%v, want empty", c, df)
+	}
+}
+
+// TestDropOldestMatchesFreshTail pins the partial compaction an off-lock
+// flush performs: dropping the oldest n documents leaves a tail that answers
+// exactly like one fed only the survivors, while the windowed history —
+// which describes the ingest stream — is untouched.
+func TestDropOldestMatchesFreshTail(t *testing.T) {
+	start := time.Unix(1_700_000_000, 0).Truncate(time.Minute)
+	cfg := Config{Now: fakeClock(start, 0)}
+	texts := []string{
+		"alpha phrase mining systems",
+		"beta phrase mining engines",
+		"gamma stream sketch counts",
+		"delta phrase sketch counts",
+		"epsilon stream mining engines",
+	}
+	facets := []map[string]string{nil, {"venue": "edbt"}, nil, {"venue": "vldb"}, nil}
+	tail := mustTail(t, cfg)
+	fresh := mustTail(t, cfg)
+	for i, text := range texts {
+		addText(tail, text, facets[i])
+		if i >= 3 {
+			addText(fresh, text, facets[i])
+		}
+	}
+	queries := []corpus.Query{
+		corpus.NewQuery(corpus.OpAND, "phrase", "mining"),
+		corpus.NewQuery(corpus.OpOR, "sketch", "engines"),
+		corpus.NewQuery(corpus.OpAND, corpus.FacetFeature("venue", "vldb")),
+		corpus.NewQuery(corpus.OpOR, "alpha", "beta"),
+	}
+	type window struct{ counts, df map[string]int }
+	windowsBefore := make([]window, len(queries))
+	for i, q := range queries {
+		windowsBefore[i].counts, windowsBefore[i].df = tail.WindowCounts(q, time.Hour)
+	}
+
+	tail.DropOldest(3)
+
+	if got, want := tail.Stats().Docs, fresh.Stats().Docs; got != want || got != 2 {
+		t.Fatalf("Stats().Docs = %d, fresh tail %d, want 2", got, want)
+	}
+	for i, q := range queries {
+		got, gotN, gotApprox := tail.Counts(q)
+		want, wantN, wantApprox := fresh.Counts(q)
+		if !reflect.DeepEqual(got, want) || gotN != wantN || gotApprox != wantApprox {
+			t.Errorf("%v: Counts = %v/%d/%v, fresh tail %v/%d/%v", q, got, gotN, gotApprox, want, wantN, wantApprox)
+		}
+		c, df := tail.WindowCounts(q, time.Hour)
+		if !reflect.DeepEqual(c, windowsBefore[i].counts) || !reflect.DeepEqual(df, windowsBefore[i].df) {
+			t.Errorf("%v: WindowCounts changed by DropOldest", q)
+		}
+	}
+	for _, text := range texts {
+		toks := tokenize(text)
+		for _, p := range []string{text, toks[0], toks[1] + " " + toks[2]} {
+			if got, want := tail.DF(p), fresh.DF(p); got != want {
+				t.Errorf("DF(%q) = %d, fresh tail %d", p, got, want)
+			}
+			for _, f := range append(toks, corpus.FacetFeature("venue", "vldb")) {
+				if got, want := tail.PairEstimate(f, p), fresh.PairEstimate(f, p); got != want {
+					t.Errorf("PairEstimate(%q, %q) = %d, fresh tail %d", f, p, got, want)
+				}
+			}
+		}
+	}
+
+	// Dropping at least everything is a Clear.
+	tail.DropOldest(5)
+	if tail.Docs() != 0 || tail.Phrases() != 0 {
+		t.Fatalf("DropOldest(all) left docs=%d phrases=%d", tail.Docs(), tail.Phrases())
 	}
 }
 

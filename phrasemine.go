@@ -34,11 +34,16 @@
 // sequential path; the zero value selects GOMAXPROCS.
 //
 // A Miner is safe for concurrent use. Any number of goroutines may call
-// Mine (and the read-only accessors) simultaneously; Add, Remove and Flush
-// serialize against in-flight queries, so a query observes either the
-// state before or after an update, never a torn intermediate. Query-time
-// fan-out runs through a worker pool bounded by Config.Workers and shared
-// across all concurrent queries on the miner: MineBatch answers many
+// Mine (and the read-only accessors) simultaneously; Add and Remove
+// serialize briefly against in-flight queries, so a query observes either
+// the state before or after an update, never a torn intermediate. On a
+// monolithic miner Flush excludes queries and Adds only for two short
+// swaps: the rebuild and the snapshot write run while both keep going
+// against the previous index plus its pending updates (a sharded Flush
+// still excludes them throughout). Remove, DiscardPendingUpdates, Save and
+// Close wait for an in-flight Flush. Query-time fan-out runs through a
+// worker pool bounded by Config.Workers and shared across all concurrent
+// queries on the miner: MineBatch answers many
 // queries through it, and multi-keyword queries with pending updates
 // prepare their per-keyword delta-adjusted lists through it (on the
 // no-update path per-keyword preparation is a map lookup, so it stays
@@ -348,13 +353,20 @@ type QueryOptions struct {
 // Miner indexes a corpus and answers interesting-phrase queries. It is
 // safe for concurrent use: see the package-level Concurrency section.
 type Miner struct {
-	// mu serializes document updates (Add/Remove/Flush, write lock)
-	// against queries (read lock). Queries only read the index and the
-	// pending delta, so any number may run concurrently. The read side is
-	// the generation refcount: Close write-acquires mu, so it drains every
-	// in-flight query before the mapping is released, and the closed flag
-	// below turns any later use into ErrMinerClosed instead of a read
-	// through an unmapped region.
+	// flushMu serializes Flush with the operations that must not
+	// interleave with its off-lock rebuild and snapshot write: Remove,
+	// DiscardPendingUpdates, EnableWAL, EnableLiveTail, Save, SaveManifest
+	// and Close. Add and queries never take it. Lock order: flushMu, then
+	// mu. The fields ix, wal, walFS, walCheckpoint, tail and cfg change
+	// only with both held, so holding either one is enough to read them.
+	flushMu sync.Mutex
+	// mu serializes document updates (Add/Remove and Flush's freeze and
+	// install steps, write lock) against queries (read lock). Queries only
+	// read the index and the pending delta, so any number may run
+	// concurrently. The read side is the generation refcount: Close
+	// write-acquires mu, so it drains every in-flight query before the
+	// mapping is released, and the closed flag below turns any later use
+	// into ErrMinerClosed instead of a read through an unmapped region.
 	mu sync.RWMutex
 	// closed latches Close. Guarded by mu; every entry point that touches
 	// index data checks it immediately after acquiring the lock.
@@ -373,10 +385,10 @@ type Miner struct {
 	gmPool *sync.Pool
 	// wal, when non-nil, is the durable mutation log: Add/Remove append
 	// to it before touching the delta, Flush checkpoints and truncates
-	// it, and EnableWAL replays its surviving records at open. Guarded by
-	// mu for enable/close; append/sync serialize through the write lock
-	// plus the WAL's own mutexes (the batch-mode group-commit fsync runs
-	// after mu is released).
+	// it, and EnableWAL replays its surviving records at open. Set and
+	// cleared under flushMu and mu; append, checkpoint and sync serialize
+	// through the write lock plus the WAL's own mutexes (the batch-mode
+	// group-commit fsync runs after mu is released).
 	wal *diskio.WAL
 	// walFS is the filesystem checkpoint persistence writes through — the
 	// fault-injection seam. faultfs.OS{} outside tests.
@@ -397,9 +409,9 @@ type Miner struct {
 	sharedMisses atomic.Int64
 	// tail, when non-nil, is the live-tail buffer: Add feeds it under the
 	// write lock, queries merge its contributions under the read lock, and
-	// Flush folds it into real segments (Clear). Enabled by
-	// Config.Tail.Enabled or EnableLiveTail — which must precede EnableWAL
-	// so log replay repopulates the tail.
+	// Flush drops the documents it folded into the index (DropOldest).
+	// Enabled by Config.Tail.Enabled or EnableLiveTail — which must precede
+	// EnableWAL so log replay repopulates the tail.
 	tail *livetail.Tail
 }
 
@@ -1131,7 +1143,9 @@ func (m *Miner) deltaActive() bool {
 // visible to queries before it — the documented trade for a Flush whose
 // cost is proportional to the touched segments. Add blocks until
 // in-flight queries drain (tokenization happens before the lock, so
-// queries are excluded only for the update registration itself).
+// queries are excluded only for the update registration itself). It does
+// not wait for an in-flight Flush: a document added during a monolithic
+// rebuild stays pending over the rebuilt index.
 //
 // On a mapped miner a corrupt forward or dictionary section surfaces here
 // as an error wrapping ErrCorruptSnapshot.
@@ -1154,8 +1168,11 @@ func (m *Miner) Add(doc Document) error {
 }
 
 // Remove registers the deletion of the i-th indexed document. Like Add it
-// is logged durably before returning when a WAL is enabled.
+// is logged durably before returning when a WAL is enabled. It waits for an
+// in-flight Flush: document indexes refer to the index a Flush replaces.
 func (m *Miner) Remove(docIndex int) error {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
 	return m.mutate(
 		diskio.WALRecord{Op: diskio.WALRemoveDocument, Doc: uint64(docIndex)},
 		func() error { return m.removeDocumentLocked(docIndex) },
@@ -1260,8 +1277,11 @@ func (m *Miner) removeDocumentLocked(docIndex int) error {
 // With a WAL enabled the log is truncated back to its last applied
 // point in the same call, so the discarded updates cannot resurrect by
 // replay on the next restart; the returned error reports a truncation
-// failure (the in-memory discard itself cannot fail).
+// failure (the in-memory discard itself cannot fail). It waits for an
+// in-flight Flush, whose frozen updates it can no longer discard.
 func (m *Miner) DiscardPendingUpdates() error {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -1356,6 +1376,8 @@ func (m *Miner) EnableWAL(cfg WALConfig) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("phrasemine: %w", err)
 	}
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -1426,95 +1448,159 @@ func (m *Miner) WALStats() (stats WALStats, ok bool) {
 
 // Flush rebuilds all indexes over the updated corpus, incorporating
 // pending additions/removals (and any newly frequent phrases). The rebuild
-// itself is parallel (Config.Workers); queries are excluded for its
-// duration and resume against the fresh index.
+// itself is parallel (Config.Workers).
+//
+// On a monolithic miner Flush runs in four steps, and queries and Adds
+// are excluded only for the two brief swaps:
+//
+//  1. Freeze (write lock): capture the pending updates and the WAL
+//     position they end at.
+//  2. Build (no lock): rebuild the index from exactly those updates.
+//     Queries keep answering from the previous index plus its pending
+//     updates, and Adds keep extending them.
+//  3. Install (write lock): swap the rebuilt index in and carry the Adds
+//     made during the build over to it as pending updates (and in the live
+//     tail).
+//  4. Persist (no lock): checkpoint the WAL, below.
+//
+// A sharded miner rebuilds its touched segments and checkpoints under the
+// write lock, excluding queries for the whole Flush. Either way Remove,
+// DiscardPendingUpdates, Save, SaveManifest, EnableWAL, EnableLiveTail and
+// Close wait for a Flush in progress.
 //
 // With a WAL enabled, a successful Flush checkpoints the log: if the
 // miner knows where its persistent form lives (EnableWAL's SnapshotPath,
 // set by the serving layer), the rebuilt index is written there
 // atomically — carrying a marker for the absorbed log prefix — and the
-// log is truncated into a fresh generation; a persistence failure leaves
-// the log intact, so no acknowledged mutation loses its durable record
-// before a snapshot holds it. Without a snapshot path the records merely
-// get marked applied and the log keeps growing until Save/SaveManifest
-// persist the index.
+// log drops that prefix, restarting as a fresh generation that holds only
+// the records added since the freeze; a persistence failure leaves the
+// log intact, so no
+// acknowledged mutation loses its durable record before a snapshot holds
+// it. Without a snapshot path the records merely get marked applied and
+// the log keeps growing until Save/SaveManifest persist the index.
 func (m *Miner) Flush() error {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
+	if m.sh != nil {
+		return m.flushSharded()
+	}
+
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return ErrMinerClosed
+	}
+	var frozen core.FrozenDelta
+	pending := m.deltaActive()
+	if pending {
+		frozen = m.delta.Freeze()
+	}
+	pos := m.walPositionLocked()
+	m.mu.Unlock()
+
+	if pending {
+		ix, err := frozen.Build()
+		if err != nil {
+			return err
+		}
+		if err := m.install(ix, frozen); err != nil {
+			return err
+		}
+	}
+	// m.ix and m.wal change only under flushMu, which Flush holds: the
+	// snapshot write needs no lock.
+	return m.checkpointWAL(pos, func(marker *diskio.WALMarker) error {
+		return diskio.WriteToFileAtomicFS(m.walFS, m.walCheckpoint, 0o644, func(w io.Writer) error {
+			return m.writeSnapshot(w, marker)
+		})
+	})
+}
+
+// install swaps the index frozen was built into under the write lock: the
+// Adds made during the build move to a fresh delta over it, the live tail
+// drops exactly the frozen documents, and the replaced index (with its
+// mapping, if any) is released — before the snapshot write, so it is not
+// kept alive through it.
+func (m *Miner) install(ix *core.Index, frozen core.FrozenDelta) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next, err := m.delta.Rebase(ix, frozen)
+	if err != nil {
+		return errors.Join(err, ix.Close())
+	}
+	old := m.ix
+	m.ix, m.delta = ix, next
+	m.gmPool = &sync.Pool{} // clones of the old index must not be reused
+	if m.tail != nil {
+		// Documents added during the build stay buffered; the windowed
+		// history covers the compacted ones by design.
+		m.tail.DropOldest(frozen.Added())
+	}
+	return old.Close()
+}
+
+// flushSharded is Flush on the sharded engine, all under the write lock:
+// the touched segments (typically just the write segment, plus any whose
+// phrases crossed the global document-frequency threshold) rebuild as new
+// Indexes with empty caches, untouched segments keep theirs, and the
+// manifest checkpoint follows.
+func (m *Miner) flushSharded() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrMinerClosed
 	}
-	if err := m.flushLocked(); err != nil {
+	if err := m.sh.Flush(); err != nil {
 		return err
 	}
 	if m.tail != nil {
-		// The tail's documents are now inside real segments: drop the
-		// buffer (windowed history survives — it covers compacted documents
-		// by design). Cleared before the WAL checkpoint on purpose: a crash
-		// between the two reopens to "old snapshot + full log", and replay
-		// routes through addDocumentLocked, repopulating the tail.
+		// The tail's documents are now inside real segments. Cleared
+		// before the WAL checkpoint on purpose: a crash between the two
+		// reopens to "old manifest + full log", and replay routes through
+		// addDocumentLocked, repopulating the tail.
 		m.tail.Clear()
 	}
-	if m.wal != nil && m.wal.NeedsCheckpoint() {
-		return m.walCheckpointLocked()
-	}
-	return nil
+	return m.checkpointWAL(m.walPositionLocked(), func(marker *diskio.WALMarker) error {
+		return m.saveManifestLocked(m.walFS, m.walCheckpoint, marker)
+	})
 }
 
-// flushLocked is Flush's in-memory rebuild, under the held write lock.
-func (m *Miner) flushLocked() error {
-	if m.sh != nil {
-		// Sharded flush rebuilds only the touched segments (typically just
-		// the write segment) plus any segment whose phrases crossed the
-		// global document-frequency threshold. A rebuilt segment is a new
-		// Index with empty caches; untouched segments keep theirs.
-		return m.sh.Flush()
+// walPositionLocked is the WAL position the applied state ends at, zero
+// without a WAL. Called with mu held, so no mutation is half-applied.
+func (m *Miner) walPositionLocked() diskio.WALPosition {
+	if m.wal == nil {
+		return diskio.WALPosition{}
 	}
-	if m.delta == nil || m.delta.Size() == 0 {
-		return nil
-	}
-	ix, err := m.delta.Flush()
-	if err != nil {
-		return err
-	}
-	// A mapped index is replaced by the freshly built heap index; release
-	// its mapping now that no query can be running (Flush holds the write
-	// lock).
-	old := m.ix
-	m.ix = ix
-	m.delta = nil
-	if err := old.Close(); err != nil {
-		return err
-	}
-	m.gmPool = &sync.Pool{} // clones of the old index must not be reused
-	return nil
+	return m.wal.Position()
 }
 
-// walCheckpointLocked persists the freshly flushed index (when a
-// checkpoint destination is known) with a marker recording the absorbed
-// log prefix, then truncates the log into a new generation. Ordering is
-// the crash-safety invariant: the log shrinks only after the snapshot or
-// manifest that absorbs its records is durably renamed into place, so a
-// crash at any step reopens to either "old snapshot + full log" or "new
-// snapshot + empty/skipped log" — never a lost or doubled mutation.
-func (m *Miner) walCheckpointLocked() error {
-	if m.walCheckpoint == "" {
-		m.wal.MarkApplied()
+// checkpointWAL persists the index holding every log record up to pos —
+// through persist, when a checkpoint destination is known — and then
+// tells the log. Ordering is the crash-safety invariant: the records up to
+// pos are fsynced before the snapshot or manifest claiming them is
+// written, and the log drops them only after that artifact is durably
+// renamed into place, so a crash at any step reopens to either "old
+// snapshot + full log" or "new snapshot + log replayed past pos" — never a
+// lost or doubled mutation. A persistence failure still marks the records
+// applied in memory (DiscardPendingUpdates must not drop them) but keeps
+// them in the log. Called with flushMu held, which keeps pos numbering the
+// current generation (only a checkpoint starts the next one); the log
+// serializes the update against concurrent Adds itself.
+func (m *Miner) checkpointWAL(pos diskio.WALPosition, persist func(marker *diskio.WALMarker) error) error {
+	if m.wal == nil || pos.Marker.Records == 0 {
 		return nil
 	}
-	marker := m.wal.Marker()
-	if m.sh != nil {
-		if err := m.saveManifestLocked(m.walFS, m.walCheckpoint, &marker); err != nil {
-			return fmt.Errorf("phrasemine: wal checkpoint: %w", err)
+	var perr error
+	if m.walCheckpoint != "" {
+		if perr = m.wal.Sync(pos.Marker.Records); perr == nil {
+			perr = persist(&pos.Marker)
 		}
-	} else {
-		if err := diskio.WriteToFileAtomicFS(m.walFS, m.walCheckpoint, 0o644, func(w io.Writer) error {
-			return m.saveLocked(w, &marker)
-		}); err != nil {
-			return fmt.Errorf("phrasemine: wal checkpoint: %w", err)
+		if perr != nil {
+			perr = fmt.Errorf("phrasemine: wal checkpoint: %w", perr)
 		}
 	}
-	return m.wal.Reset()
+	absorbed := m.walCheckpoint != "" && perr == nil
+	return errors.Join(perr, m.wal.Checkpoint(pos, absorbed))
 }
 
 // SnapshotVersion is the on-disk snapshot format version written by Save
@@ -1540,6 +1626,8 @@ const minerWALSection = "phrasemine/wal"
 // without a Flush): call Flush first, so a snapshot always captures a
 // consistent, fully indexed state.
 func (m *Miner) Save(w io.Writer) error {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if m.closed {
@@ -1554,14 +1642,12 @@ func (m *Miner) currentWALMarker() *diskio.WALMarker {
 	if m.wal == nil {
 		return nil
 	}
-	marker := m.wal.Marker()
+	marker := m.wal.Position().Marker
 	return &marker
 }
 
-// saveLocked is Save under a held lock (read lock from Save, write lock
-// from the Flush checkpoint — which therefore must not call Save itself).
-// A non-nil marker is embedded as the minerWALSection so a reopen skips
-// the absorbed log prefix.
+// saveLocked is Save under the held locks. A non-nil marker is embedded as
+// the minerWALSection so a reopen skips the absorbed log prefix.
 func (m *Miner) saveLocked(w io.Writer, marker *diskio.WALMarker) error {
 	if m.sh != nil {
 		// A single snapshot cannot represent a multi-segment engine;
@@ -1572,6 +1658,13 @@ func (m *Miner) saveLocked(w io.Writer, marker *diskio.WALMarker) error {
 	if m.deltaActive() {
 		return fmt.Errorf("phrasemine: %d document updates pending; call Flush before Save", m.delta.Size())
 	}
+	return m.writeSnapshot(w, marker)
+}
+
+// writeSnapshot serializes the monolithic index and the saved Config, plus
+// the marker when non-nil. It reads only fields that change under both
+// locks, so the caller holds flushMu or mu.
+func (m *Miner) writeSnapshot(w io.Writer, marker *diskio.WALMarker) error {
 	sw := diskio.NewSnapshotWriter(SnapshotVersion)
 	cfg, err := json.Marshal(m.savedConfig())
 	if err != nil {
@@ -1627,6 +1720,8 @@ func (m *Miner) SaveFile(path string) error {
 // individually. Like Save, it refuses while document updates are pending.
 // Calling it on a monolithic miner is an error — use Save.
 func (m *Miner) SaveManifest(dir string) error {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if m.closed {
@@ -1635,7 +1730,7 @@ func (m *Miner) SaveManifest(dir string) error {
 	return m.saveManifestLocked(faultfs.OS{}, dir, m.currentWALMarker())
 }
 
-// saveManifestLocked is SaveManifest under a held lock over an explicit
+// saveManifestLocked is SaveManifest under the held locks over an explicit
 // filesystem (read lock from SaveManifest, write lock from the Flush
 // checkpoint). Segment files land under generation-fresh names, the
 // manifest — carrying the marker when non-nil — commits atomically over
@@ -1811,7 +1906,10 @@ func OpenMinerMapped(path string, workers int) (*Miner, error) {
 // Acquiring the write lock drains in-flight queries first — open cursors
 // read out of the mapping, so the unmap must not race them. After Close,
 // every operation returns ErrMinerClosed; calling Close again is a no-op.
+// Close waits for an in-flight Flush to finish first.
 func (m *Miner) Close() error {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {

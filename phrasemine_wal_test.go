@@ -16,6 +16,10 @@ package phrasemine
 //     damage is always a cleanly truncatable tail.
 //  4. The recovered miner answers bit-identically to a miner built
 //     cleanly from the surviving documents.
+//
+// One flush adds a document while its rebuild runs off the lock, so the
+// checkpoint it writes must keep that record in the log (and replay it
+// exactly once) at every crash point too.
 
 import (
 	"bytes"
@@ -25,6 +29,7 @@ import (
 	"strings"
 	"testing"
 
+	"phrasemine/internal/core"
 	"phrasemine/internal/diskio"
 	"phrasemine/internal/diskio/faultfs"
 )
@@ -51,7 +56,8 @@ func walTestConfig() Config {
 	}
 }
 
-// walOp is one scripted step: a mutation or a flush checkpoint.
+// walOp is one scripted step: a mutation or a flush checkpoint. A flush
+// with text also adds that document while its rebuild runs off the lock.
 type walOp struct {
 	kind string // "add", "remove" or "flush"
 	text string
@@ -60,14 +66,80 @@ type walOp struct {
 
 func (op walOp) mutation() bool { return op.kind != "flush" }
 
+// walScriptAcks is how many ops a clean run of the script acknowledges:
+// one per step, plus the add a flush carries.
+func walScriptAcks() int {
+	n := 0
+	for _, op := range walScript() {
+		n++
+		if op.kind == "flush" && op.text != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// runWALScript executes the script on m until it completes or an
+// operation fails, returning the acked prefix and the errored in-flight
+// mutation (nil if none, e.g. when a flush hit the crash). A flush's add
+// is issued while the monolithic rebuild is held off the lock — after the
+// flush on a sharded miner, whose flush holds the lock throughout — so in
+// the acked order it follows the flush: pending over the rebuilt index.
+func runWALScript(m *Miner) (acked []walOp, inflight *walOp) {
+	for _, op := range walScript() {
+		op := op
+		var err error
+		switch op.kind {
+		case "add":
+			err = m.Add(Document{Text: op.text})
+		case "remove":
+			err = m.Remove(op.doc)
+		case "flush":
+			add := walOp{kind: "add", text: op.text}
+			var addErr error
+			added := false
+			if op.text != "" {
+				core.BuildHook = func() { added, addErr = true, m.Add(Document{Text: op.text}) }
+			}
+			err = m.Flush()
+			core.BuildHook = nil
+			if err == nil {
+				acked = append(acked, op)
+				if op.text != "" && !added {
+					added, addErr = true, m.Add(Document{Text: op.text})
+				}
+			}
+			if added {
+				if addErr != nil {
+					return acked, &add
+				}
+				acked = append(acked, add)
+			}
+			if err != nil {
+				return acked, nil
+			}
+			continue
+		}
+		if err != nil {
+			if op.mutation() {
+				inflight = &op
+			}
+			return acked, inflight
+		}
+		acked = append(acked, op)
+	}
+	return acked, nil
+}
+
 // walScript mixes mutations with checkpoints so crash points land in
-// every phase: logged-but-unflushed, mid-checkpoint, and post-truncate.
+// every phase: logged-but-unflushed, mid-checkpoint, post-truncate, and a
+// checkpoint that must keep the record appended during its rebuild.
 func walScript() []walOp {
 	return []walOp{
 		{kind: "add", text: "solar storm warning issued. solar storm warning repeated."},
 		{kind: "remove", doc: 0},
 		{kind: "add", text: "harvest festival parade delayed. harvest festival parade resumed."},
-		{kind: "flush"},
+		{kind: "flush", text: "volcano ash advisory lifted. volcano ash advisory extended."},
 		{kind: "add", text: "midnight regatta results posted. midnight regatta results archived."},
 		{kind: "remove", doc: 1},
 		{kind: "flush"},
@@ -178,26 +250,7 @@ func walScriptRun(t *testing.T, mem *faultfs.Mem, ffs *faultfs.Fault, mode strin
 	if _, err := m.EnableWAL(WALConfig{Dir: walTestDir, Sync: mode, SnapshotPath: walTestSnap, FS: ffs}); err != nil {
 		return nil, nil // crashed before any mutation could be acked
 	}
-	for _, op := range walScript() {
-		op := op
-		var err error
-		switch op.kind {
-		case "add":
-			err = m.Add(Document{Text: op.text})
-		case "remove":
-			err = m.Remove(op.doc)
-		case "flush":
-			err = m.Flush()
-		}
-		if err != nil {
-			if op.mutation() {
-				inflight = &op
-			}
-			return acked, inflight
-		}
-		acked = append(acked, op)
-	}
-	return acked, nil
+	return runWALScript(m)
 }
 
 // walRecover crashes mem, materializes its durable state onto the real
@@ -374,26 +427,7 @@ func TestWALShardedCheckpointRecovery(t *testing.T) {
 		if _, err := m.EnableWAL(WALConfig{Dir: walTestDir, Sync: "always", SnapshotPath: manifestDir, FS: ffs}); err != nil {
 			return nil, nil
 		}
-		for _, op := range walScript() {
-			op := op
-			var err error
-			switch op.kind {
-			case "add":
-				err = m.Add(Document{Text: op.text})
-			case "remove":
-				err = m.Remove(op.doc)
-			case "flush":
-				err = m.Flush()
-			}
-			if err != nil {
-				if op.mutation() {
-					inflight = &op
-				}
-				return acked, inflight
-			}
-			acked = append(acked, op)
-		}
-		return acked, nil
+		return runWALScript(m)
 	}
 	recover := func(t *testing.T, mem *faultfs.Mem, label string) *Miner {
 		t.Helper()
@@ -437,8 +471,8 @@ func TestWALShardedCheckpointRecovery(t *testing.T) {
 	setup(t, mem)
 	ffs := faultfs.NewFault(mem)
 	acked, inflight := run(t, mem, ffs)
-	if inflight != nil || len(acked) != len(walScript()) {
-		t.Fatalf("clean run failed: acked %d/%d ops", len(acked), len(walScript()))
+	if inflight != nil || len(acked) != walScriptAcks() {
+		t.Fatalf("clean run failed: acked %d/%d ops", len(acked), walScriptAcks())
 	}
 	totalOps := ffs.Ops()
 	rec := recover(t, mem, "clean")
@@ -506,8 +540,8 @@ func TestWALCrashConsistencyMatrix(t *testing.T) {
 			walSetup(t, mem)
 			ffs := faultfs.NewFault(mem)
 			acked, inflight := walScriptRun(t, mem, ffs, mode)
-			if inflight != nil || len(acked) != len(walScript()) {
-				t.Fatalf("clean run failed: acked %d/%d ops", len(acked), len(walScript()))
+			if inflight != nil || len(acked) != walScriptAcks() {
+				t.Fatalf("clean run failed: acked %d/%d ops", len(acked), walScriptAcks())
 			}
 			totalOps := ffs.Ops()
 			if totalOps < 20 {
@@ -553,4 +587,77 @@ func TestWALCrashConsistencyMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// noWALReplaceFS refuses to stage files in the WAL directory, so a
+// checkpoint installs its snapshot but cannot replace the log.
+type noWALReplaceFS struct{ faultfs.FS }
+
+func (f noWALReplaceFS) CreateTemp(dir, pattern string) (faultfs.File, error) {
+	if dir == walTestDir {
+		return nil, fmt.Errorf("staging %s in %s refused", pattern, dir)
+	}
+	return f.FS.CreateTemp(dir, pattern)
+}
+
+// TestWALCheckpointSyncsFrozenRecords covers a batch-mode Add caught by a
+// flush between its apply and its group commit: its record lies inside the
+// checkpoint's prefix but is not yet durable. The checkpoint must fsync it
+// before a snapshot claims it — otherwise a crash leaves a snapshot whose
+// marker counts records the surviving log does not hold, and recovery
+// refuses the log. The crash lands between the snapshot install and the
+// log's replacement, the one window where the old log meets the new
+// marker.
+func TestWALCheckpointSyncsFrozenRecords(t *testing.T) {
+	mem := faultfs.NewMem()
+	walSetup(t, mem)
+	raw, err := mem.ReadFile(walTestSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadMiner(bytes.NewReader(raw), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	fsys := noWALReplaceFS{mem}
+	if _, err := m.EnableWAL(WALConfig{Dir: walTestDir, Sync: "batch", SnapshotPath: walTestSnap, FS: fsys}); err != nil {
+		t.Fatal(err)
+	}
+	// Add's first half: logged and applied under the lock, not yet synced.
+	addUnsynced := func(text string) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if _, err := m.wal.Append(diskio.WALRecord{Op: diskio.WALAddDocument, Text: text}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.applyRecordLocked(diskio.WALRecord{Op: diskio.WALAddDocument, Text: text}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frozen := walOp{kind: "add", text: "solar storm warning issued. solar storm warning repeated."}
+	suffix := walOp{kind: "add", text: "volcano ash advisory lifted. volcano ash advisory extended."}
+	addUnsynced(frozen.text)
+	core.BuildHook = func() { addUnsynced(suffix.text) }
+	err = m.Flush()
+	core.BuildHook = nil
+	if err == nil {
+		t.Fatal("flush succeeded although the log could not be replaced")
+	}
+	rec := walRecover(t, mem, "crash after the snapshot install")
+	got := fingerprintMiner(t, rec)
+	rec.Close()
+	base := walCorpus()
+	for _, ops := range [][]walOp{{frozen, {kind: "flush"}}, {frozen, {kind: "flush"}, suffix}} {
+		ref, err := NewMinerFromTexts(walModel(base, ops), walTestConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fingerprintMiner(t, ref)
+		ref.Close()
+		if reflect.DeepEqual(got, want) {
+			return
+		}
+	}
+	t.Fatalf("recovered state (%d docs) is neither the frozen document alone nor with the unacknowledged suffix", got.numDocs)
 }

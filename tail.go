@@ -7,9 +7,10 @@ package phrasemine
 // merged at gather time with tail contributions (exact below the tail's
 // size threshold, sketch-approximated above it, with Mined.Approximate
 // and Mined.TailDocs marking the difference). Flush is the compaction
-// point: it folds the tail into real segments through the existing
-// write-segment routing and clears the buffer, commuting with the WAL
-// checkpoint so crash recovery replays the un-compacted tail.
+// point: it folds the tail into real segments and drops exactly the
+// documents it folded (documents added during a monolithic rebuild stay
+// buffered), commuting with the WAL checkpoint so crash recovery replays
+// the un-compacted tail.
 
 import (
 	"errors"
@@ -73,6 +74,8 @@ type TailStats = livetail.Stats
 // refuses while document updates are pending, because those were applied
 // without a tail and could not be re-served from it.
 func (m *Miner) EnableLiveTail(cfg TailConfig) error {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
