@@ -51,7 +51,7 @@
 //
 // # Cancellation
 //
-// MineCtx, MineDetailed and MineBatchOptsCtx take a context whose expiry
+// MineCtx, MineDetailed and MineBatchCtx take a context whose expiry
 // stops the query cooperatively: the list algorithms test it about once per
 // thousand entry reads and return ctx.Err() within roughly a millisecond of
 // cancellation instead of running to completion. A canceled query never
@@ -71,7 +71,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -640,6 +640,10 @@ func prepareQuery(keywords []string, op Operator, opt QueryOptions) (preparedQue
 		return preparedQuery{}, err
 	}
 	q := corpus.NewQuery(iop, normalizeKeywords(keywords)...)
+	// Canonical feature order: per-phrase float sums follow it, so two
+	// orderings of one keyword set would otherwise differ in their last
+	// bits (and the server's result cache keys on the sorted set).
+	slices.Sort(q.Features)
 	if err := q.Validate(); err != nil {
 		return preparedQuery{}, err
 	}
@@ -905,85 +909,39 @@ type BatchResult struct {
 	Approximate bool
 }
 
-// BatchOptions tunes shared-scan execution in MineBatchOpts.
-type BatchOptions struct {
-	// MaxGroupSize caps how many queries share one block-decode cache.
-	// Larger groups decode each shared block fewer times but hold the
-	// decoded entries live until the whole group drains. Must be
-	// positive; DefaultBatchOptions selects 64.
-	MaxGroupSize int
-	// DisableSharing turns shared-scan grouping off entirely; every
-	// query decodes privately, exactly like a standalone Mine call.
-	DisableSharing bool
-}
-
-// DefaultBatchOptions returns the batch tuning MineBatch itself uses.
-func DefaultBatchOptions() BatchOptions {
-	return BatchOptions{MaxGroupSize: 64}
-}
-
-// Validate rejects unusable batch options.
-func (o BatchOptions) Validate() error {
-	if o.MaxGroupSize <= 0 {
-		return fmt.Errorf("phrasemine: BatchOptions.MaxGroupSize must be positive, got %d", o.MaxGroupSize)
-	}
-	return nil
-}
+// batchGroupSize caps how many queries share one block-decode cache in
+// MineBatch. Larger groups decode each shared block fewer times but hold
+// the decoded entries live until the whole group drains.
+const batchGroupSize = 64
 
 // MineBatch answers many queries concurrently through the miner's bounded
 // worker pool (Config.Workers), returning one result per item in input
 // order. Per-query failures are reported per slot, so one bad query does
 // not discard the batch. It is itself safe for concurrent callers — the
-// pool bound is shared, so total fan-out stays capped. Equivalent to
-// MineBatchOpts with DefaultBatchOptions.
-func (m *Miner) MineBatch(items []BatchItem) []BatchResult {
-	out, err := m.MineBatchOpts(items, DefaultBatchOptions())
-	if err != nil {
-		// DefaultBatchOptions always validates.
-		panic(err)
-	}
-	return out
-}
-
-// MineBatchOpts is MineBatch with explicit batch tuning. On a compressed
+// pool bound is shared, so total fan-out stays capped. On a compressed
 // monolithic miner with no pending updates, queries over the same keyword
-// set are grouped to share block decodes: each block of a shared keyword
-// list is decoded once per group and the entries fanned to every member.
-// Results are bit-identical to per-query Mine calls. The error reports
-// invalid opt only; per-query failures stay in their slots.
-func (m *Miner) MineBatchOpts(items []BatchItem, opt BatchOptions) ([]BatchResult, error) {
-	return m.MineBatchOptsCtx(context.Background(), items, opt)
+// set are grouped (at most 64 to a group) to share block decodes: each
+// block of a shared keyword list is decoded once per group and the
+// entries fanned to every member. Results are bit-identical to per-query
+// Mine calls.
+func (m *Miner) MineBatch(items []BatchItem) []BatchResult {
+	return m.MineBatchCtx(context.Background(), items)
 }
 
 // MineBatchCtx is MineBatch with cooperative cancellation: ctx covers the
 // whole batch, and once it is canceled the in-flight members stop within
 // about a millisecond while the not-yet-started ones fail immediately, each
-// slot reporting ctx.Err(). Equivalent to MineBatchOptsCtx with
-// DefaultBatchOptions.
+// slot reporting ctx.Err(). Shared-scan caches are still released only
+// after every member returns — cancellation makes the members return fast,
+// it never tears a shared decode out from under one. A nil ctx is treated
+// as context.Background().
 func (m *Miner) MineBatchCtx(ctx context.Context, items []BatchItem) []BatchResult {
-	out, err := m.MineBatchOptsCtx(ctx, items, DefaultBatchOptions())
-	if err != nil {
-		// DefaultBatchOptions always validates.
-		panic(err)
-	}
-	return out
-}
-
-// MineBatchOptsCtx is MineBatchOpts under a batch-wide context (see
-// MineBatchCtx). Shared-scan caches are still released only after every
-// member returns — cancellation makes the members return fast, it never
-// tears a shared decode out from under one. A nil ctx is treated as
-// context.Background().
-func (m *Miner) MineBatchOptsCtx(ctx context.Context, items []BatchItem, opt BatchOptions) ([]BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
 	out := make([]BatchResult, len(items))
 	if len(items) == 0 {
-		return out, nil
+		return out
 	}
 	m.mu.RLock()
 	if m.closed {
@@ -991,7 +949,7 @@ func (m *Miner) MineBatchOptsCtx(ctx context.Context, items []BatchItem, opt Bat
 		for i := range out {
 			out[i] = BatchResult{Err: ErrMinerClosed}
 		}
-		return out, nil
+		return out
 	}
 	var (
 		pool     *topk.Pool
@@ -1007,7 +965,7 @@ func (m *Miner) MineBatchOptsCtx(ctx context.Context, items []BatchItem, opt Bat
 		// physical blocks) and an index that won't consult the delta.
 		// mineOne re-checks both under its own read lock and falls back
 		// if a reload or update lands mid-batch.
-		sharable = m.ix.Compressed() && !m.deltaActive() && !opt.DisableSharing
+		sharable = m.ix.Compressed() && !m.deltaActive()
 		want = m.ix
 	}
 	m.mu.RUnlock()
@@ -1030,7 +988,7 @@ func (m *Miner) MineBatchOptsCtx(ctx context.Context, items []BatchItem, opt Bat
 		sigs = append(sigs, batchSignature(p.q))
 	}
 	if len(valid) == 0 {
-		return out, nil
+		return out
 	}
 
 	// Plan shared-scan groups: queries with the same keyword signature
@@ -1043,7 +1001,7 @@ func (m *Miner) MineBatchOptsCtx(ctx context.Context, items []BatchItem, opt Bat
 	jobs := make([]job, 0, len(valid))
 	var caches []*plist.ShareCache
 	if sharable {
-		for _, g := range topk.BatchGroups(sigs, opt.MaxGroupSize) {
+		for _, g := range topk.BatchGroups(sigs, batchGroupSize) {
 			var sc *plist.ShareCache
 			if len(g) > 1 {
 				sc = plist.NewShareCache()
@@ -1090,18 +1048,16 @@ func (m *Miner) MineBatchOptsCtx(ctx context.Context, items []BatchItem, opt Bat
 		// no cursor references cache memory: recycle the decode slabs.
 		sc.Release()
 	}
-	return out, nil
+	return out
 }
 
 // batchSignature is the shared-scan grouping key: the query's feature
-// set, order-insensitively. Features are already normalized; two queries
-// with equal signatures read exactly the same physical lists (operator
-// and options may still differ — they only affect how the shared decodes
-// are consumed).
+// set. Features are already normalized and sorted (prepareQuery); two
+// queries with equal signatures read exactly the same physical lists
+// (operator and options may still differ — they only affect how the
+// shared decodes are consumed).
 func batchSignature(q corpus.Query) string {
-	fs := append([]string(nil), q.Features...)
-	sort.Strings(fs)
-	return strings.Join(fs, "\x00")
+	return strings.Join(q.Features, "\x00")
 }
 
 func (m *Miner) resolve(results []topk.Result, q corpus.Query) ([]Result, error) {

@@ -1,9 +1,9 @@
 package phrasemine
 
 import (
+	"context"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -25,29 +25,10 @@ func newCompressedTestMiner(t *testing.T) *Miner {
 	return m
 }
 
-func TestBatchOptionsValidate(t *testing.T) {
-	if err := DefaultBatchOptions().Validate(); err != nil {
-		t.Fatalf("default options invalid: %v", err)
-	}
-	for _, bad := range []int{0, -1, -64} {
-		opt := BatchOptions{MaxGroupSize: bad}
-		if err := opt.Validate(); err == nil {
-			t.Fatalf("MaxGroupSize=%d accepted", bad)
-		}
-		if _, err := newCompressedTestMiner(t).MineBatchOpts(concurrencyQueries(), opt); err == nil {
-			t.Fatalf("MineBatchOpts accepted MaxGroupSize=%d", bad)
-		}
-		break // one miner build is enough; Validate covers the rest
-	}
-	opt := BatchOptions{MaxGroupSize: 0}
-	if err := opt.Validate(); err == nil || !strings.Contains(err.Error(), "MaxGroupSize") {
-		t.Fatalf("zero MaxGroupSize error = %v", err)
-	}
-}
-
 // TestMineBatchSharingMatchesMine asserts the shared-scan fast path is
 // semantically invisible: a batch full of duplicate queries (maximal
-// sharing) answers exactly like per-query Mine, and the shared-scan hit
+// sharing, and more duplicates of one keyword set than fit in one group)
+// answers exactly like per-item MineDetailed, and the shared-scan hit
 // gauge confirms sharing actually engaged.
 func TestMineBatchSharingMatchesMine(t *testing.T) {
 	m := newCompressedTestMiner(t)
@@ -57,30 +38,22 @@ func TestMineBatchSharingMatchesMine(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		items = append(items, base...)
 	}
-	want := make([][]Result, len(items))
+	for r := 0; r <= batchGroupSize; r++ {
+		items = append(items, base[0])
+	}
+	out := m.MineBatch(items)
 	for i, it := range items {
-		res, err := m.Mine(it.Keywords, it.Op, it.Options)
+		want, err := m.MineDetailed(context.Background(), it.Keywords, it.Op, it.Options)
 		if err != nil {
 			t.Fatalf("reference query %d: %v", i, err)
 		}
-		want[i] = res
-	}
-	for _, opt := range []BatchOptions{
-		DefaultBatchOptions(),
-		{MaxGroupSize: 2},
-		{MaxGroupSize: 64, DisableSharing: true},
-	} {
-		out, err := m.MineBatchOpts(items, opt)
-		if err != nil {
-			t.Fatalf("%+v: %v", opt, err)
+		got := out[i]
+		if got.Err != nil {
+			t.Fatalf("batch slot %d: %v", i, got.Err)
 		}
-		for i, got := range out {
-			if got.Err != nil {
-				t.Fatalf("%+v: batch slot %d: %v", opt, i, got.Err)
-			}
-			if !reflect.DeepEqual(got.Results, want[i]) {
-				t.Fatalf("%+v: batch slot %d diverges: %v vs %v", opt, i, got.Results, want[i])
-			}
+		if !reflect.DeepEqual(got.Results, want.Results) || got.Approximate != want.Approximate ||
+			got.TailDocs != want.TailDocs || got.Degraded != want.Degraded {
+			t.Fatalf("batch slot %d diverges: %+v vs %+v", i, got, want)
 		}
 	}
 	if hits := m.IndexStats().SharedScanHits; hits == 0 {
@@ -93,11 +66,7 @@ func TestMineBatchSharingMatchesMine(t *testing.T) {
 func TestMineBatchSharingUncompressedFallback(t *testing.T) {
 	m := newTestMiner(t)
 	items := concurrencyQueries()
-	out, err := m.MineBatchOpts(append(items, items...), DefaultBatchOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range out {
+	for i, got := range m.MineBatch(append(items, items...)) {
 		if got.Err != nil {
 			t.Fatalf("slot %d: %v", i, got.Err)
 		}
@@ -130,16 +99,7 @@ func TestMineBatchSharedScanRacesUpdates(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				opt := DefaultBatchOptions()
-				if (g+r)%3 == 0 {
-					opt.MaxGroupSize = 3
-				}
-				out, err := m.MineBatchOpts(items, opt)
-				if err != nil {
-					errs <- fmt.Errorf("goroutine %d round %d: %w", g, r, err)
-					return
-				}
-				for i, got := range out {
+				for i, got := range m.MineBatch(items) {
 					if got.Err != nil {
 						errs <- fmt.Errorf("goroutine %d round %d slot %d: %w", g, r, i, got.Err)
 						return
