@@ -1,7 +1,8 @@
 // Command phrasemine is the CLI for the interesting-phrase mining system:
-// it builds persistent indexes and miner snapshots from text corpora,
-// answers top-k interesting-phrase queries (in-memory or against the
-// on-disk index), serves queries over HTTP, and reports index statistics.
+// it builds miner snapshots from text corpora, serves queries over HTTP,
+// and answers one-off top-k queries and index statistics. Every command
+// goes through the public phrasemine.Miner, opened from a snapshot, a
+// sharded manifest or a corpus file.
 //
 // A corpus file holds one document per line. Lines may start with
 // `key=value ...\t` facet headers, e.g.:
@@ -12,10 +13,9 @@
 //
 //	phrasemine build-index -in corpus.txt -out corpus.snap   # full miner snapshot
 //	phrasemine serve -index corpus.snap -addr :8080          # HTTP query server
-//	phrasemine index -in corpus.txt -out idx      # writes idx.dict, idx.lists
+//	phrasemine query -index corpus.snap -keywords "trade reserves" -op AND
 //	phrasemine query -in corpus.txt -keywords "trade reserves" -op OR
-//	phrasemine query -index idx -keywords "trade reserves" -op AND
-//	phrasemine stats -in corpus.txt
+//	phrasemine stats -index corpus.snap
 package main
 
 import (
@@ -24,24 +24,19 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"phrasemine"
-	"phrasemine/internal/core"
-	"phrasemine/internal/corpus"
-	"phrasemine/internal/phrasedict"
-	"phrasemine/internal/plist"
 	"phrasemine/internal/server"
-	"phrasemine/internal/textproc"
-	"phrasemine/internal/topk"
 )
 
 func main() {
@@ -55,12 +50,10 @@ func main() {
 		err = cmdBuildIndex(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "index":
-		err = cmdIndex(os.Args[2:])
 	case "query":
-		err = cmdQuery(os.Args[2:])
+		err = cmdQuery(os.Stdout, os.Args[2:])
 	case "stats":
-		err = cmdStats(os.Args[2:])
+		err = cmdStats(os.Stdout, os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -78,17 +71,15 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   phrasemine build-index -in corpus.txt -out corpus.snap [-mindf N] [-workers N] [-compress] [-segments N]
   phrasemine serve (-index corpus.snap | -manifest dir | -in corpus.txt) [-addr :8080] [-cache N] [-query-timeout D] [-max-inflight N] [-queue-timeout D] [-tenant-qps F] [-slow-query D] [-workers N] [-pprof] [-mmap] [-compress] [-segments N] [-wal-dir dir] [-wal-sync always|batch] [-live-tail] [-tail-exact-threshold N] [-tail-width N] [-tail-depth N] [-tail-window D] [-tail-periods N] [-compact-interval D] [-compact-max-docs N]
-  phrasemine index -in corpus.txt -out prefix [-mindf N] [-workers N]
-  phrasemine query (-in corpus.txt | -index prefix) -keywords "w1 w2" [-op AND|OR] [-k N] [-algo nra|smj|gm|exact] [-frac F] [-workers N]
-  phrasemine stats -in corpus.txt [-mindf N] [-workers N]
+  phrasemine query (-index corpus.snap | -manifest dir | -in corpus.txt) -keywords "w1 w2" [-op AND|OR] [-k N] [-algo nra|smj|gm|exact] [-frac F] [-mindf N] [-workers N]
+  phrasemine stats (-index corpus.snap | -manifest dir | -in corpus.txt) [-mindf N] [-workers N]
 
 build-index writes a versioned full-miner snapshot (corpus, indexes and
-phrase lists) that serve reloads without rebuilding; index writes the raw
-list/dictionary files for disk-resident NRA querying.
+phrase lists) that serve, query and stats open without rebuilding; with
+-in they build the same miner in memory first (-mindf applies there).
 
--workers bounds build parallelism (0 = all cores, 1 = sequential); the
-built index is identical at every worker count. Querying a prebuilt
--index reads from disk and does not build, so -workers is a no-op there.
+-workers bounds build and query parallelism (0 = all cores, 1 =
+sequential); the built index is identical at every worker count.
 
 -compress keeps the query-time lists block-compressed in memory (results
 are bit-identical). serve -mmap opens the snapshot zero-copy via mmap:
@@ -156,21 +147,10 @@ func forEachDocLine(path string, fn func(text string, facets map[string]string))
 	return nil
 }
 
-// readCorpus parses a corpus file into tokenized internal documents.
-func readCorpus(path string) (*corpus.Corpus, error) {
-	c := corpus.New()
-	tok := textproc.Tokenizer{EmitSentenceBreaks: true}
-	err := forEachDocLine(path, func(text string, facets map[string]string) {
-		c.Add(corpus.Document{Tokens: tok.Tokenize(text), Facets: facets})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // parseFacets parses "k=v k2=v2"; every field must be a pair for the header
 // to count as facets (otherwise it is document text containing a tab).
+// Names and values are kept as written: the miner lowercases facets when
+// it indexes them.
 func parseFacets(header string) (map[string]string, bool) {
 	fields := strings.Fields(header)
 	if len(fields) == 0 {
@@ -182,7 +162,7 @@ func parseFacets(header string) (map[string]string, bool) {
 		if eq <= 0 || eq == len(f)-1 {
 			return nil, false
 		}
-		out[f[:eq]] = strings.ToLower(f[eq+1:])
+		out[f[:eq]] = f[eq+1:]
 	}
 	return out, true
 }
@@ -213,6 +193,77 @@ func buildMiner(path string, minDF, workers int, compress bool, segments int) (*
 	cfg.Compression = compress
 	cfg.Segments = segments
 	return phrasemine.NewMinerFromDocuments(docs, cfg)
+}
+
+// source selects where a command's miner comes from: a snapshot (-index),
+// a sharded manifest (-manifest) or a corpus file built in memory (-in).
+// serve, query and stats all open it through openMiner.
+type source struct {
+	index, manifest, in string
+	minDF, workers      int
+	// Set by serve's flags only.
+	mmap, compress bool
+	segments       int
+}
+
+// sourceFlags registers the flags every miner-opening command shares.
+func sourceFlags(fs *flag.FlagSet) *source {
+	src := &source{}
+	fs.StringVar(&src.index, "index", "", "miner snapshot written by `phrasemine build-index`")
+	fs.StringVar(&src.manifest, "manifest", "", "sharded manifest directory (or manifest.json) written by `phrasemine build-index -segments N`")
+	fs.StringVar(&src.in, "in", "", "corpus file (one document per line), built in memory")
+	fs.IntVar(&src.minDF, "mindf", 5, "minimum phrase document frequency (-in mode)")
+	fs.IntVar(&src.workers, "workers", 0, "build and query parallelism (0 = all cores, 1 = sequential)")
+	return src
+}
+
+// openMiner opens src and writes one line saying what it opened to log.
+// reload reopens the same on-disk generation; it is nil for an -in miner,
+// which has none.
+func openMiner(src source, log io.Writer) (m *phrasemine.Miner, reload func() (*phrasemine.Miner, error), err error) {
+	start := time.Now()
+	switch {
+	case src.manifest != "":
+		reload = func() (*phrasemine.Miner, error) {
+			return phrasemine.OpenShardedMiner(src.manifest, src.workers)
+		}
+		if m, err = reload(); err != nil {
+			return nil, nil, err
+		}
+		st := m.IndexStats()
+		fmt.Fprintf(log, "opened %d-segment manifest %s in %v: %d docs, |P|=%d phrases, %s mapped\n",
+			m.Segments(), src.manifest, time.Since(start).Round(time.Millisecond),
+			m.NumDocuments(), m.NumPhrases(), byteSize(st.MappedBytes))
+	case src.index != "" && src.mmap:
+		reload = func() (*phrasemine.Miner, error) {
+			return phrasemine.OpenMinerMapped(src.index, src.workers)
+		}
+		if m, err = reload(); err != nil {
+			return nil, nil, err
+		}
+		st := m.IndexStats()
+		fmt.Fprintf(log, "mapped snapshot %s in %v: %d docs, |P|=%d phrases, %s shared mapping\n",
+			src.index, time.Since(start).Round(time.Microsecond), m.NumDocuments(), m.NumPhrases(),
+			byteSize(st.MappedBytes))
+	case src.index != "":
+		reload = func() (*phrasemine.Miner, error) {
+			return phrasemine.LoadMinerFile(src.index, src.workers)
+		}
+		if m, err = reload(); err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(log, "loaded snapshot %s in %v: %d docs, |P|=%d phrases\n",
+			src.index, time.Since(start).Round(time.Millisecond), m.NumDocuments(), m.NumPhrases())
+	case src.in != "":
+		if m, err = buildMiner(src.in, src.minDF, src.workers, src.compress, src.segments); err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(log, "built index from %s in %v: %d docs, |P|=%d phrases\n",
+			src.in, time.Since(start).Round(time.Millisecond), m.NumDocuments(), m.NumPhrases())
+	default:
+		return nil, nil, fmt.Errorf("one of -index, -manifest or -in is required")
+	}
+	return m, reload, nil
 }
 
 // cmdBuildIndex builds a miner and persists it as a snapshot: the
@@ -263,23 +314,18 @@ func cmdBuildIndex(args []string) error {
 // HTTP JSON API until interrupted.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	index := fs.String("index", "", "miner snapshot written by `phrasemine build-index`")
-	manifest := fs.String("manifest", "", "sharded manifest directory (or manifest.json) written by `phrasemine build-index -segments N`")
-	in := fs.String("in", "", "corpus file (build in memory and serve)")
+	src := sourceFlags(fs)
 	addr := fs.String("addr", ":8080", "listen address")
 	cache := fs.Int("cache", server.DefaultCacheSize, "result-cache entries (negative disables)")
-	timeout := fs.Duration("timeout", server.DefaultQueryTimeout, "per-query timeout")
-	queryTimeout := fs.Duration("query-timeout", 0, "alias for -timeout; takes precedence when set")
+	queryTimeout := fs.Duration("query-timeout", server.DefaultQueryTimeout, "per-query timeout")
 	maxInflight := fs.Int("max-inflight", 0, "max concurrently executing queries (0 disables admission control)")
 	queueTimeout := fs.Duration("queue-timeout", server.DefaultQueueTimeout, "max wait for an admission slot before shedding with 503")
 	tenantQPS := fs.Float64("tenant-qps", 0, "per-tenant sustained queries/sec, keyed on the X-Tenant header (0 disables quotas)")
 	slowQuery := fs.Duration("slow-query", 0, "log queries at least this slow (0 disables)")
-	minDF := fs.Int("mindf", 5, "minimum phrase document frequency (-in mode)")
-	workers := fs.Int("workers", 0, "query/build parallelism (0 = all cores)")
 	pprofOn := fs.Bool("pprof", false, "expose /debug/pprof and /debug/vars (profiling + expvar counters)")
-	useMmap := fs.Bool("mmap", false, "open -index zero-copy via mmap (O(header) startup, demand-paged shared memory)")
-	compress := fs.Bool("compress", false, "block-compressed in-memory lists (-in mode; heap -index mode follows the snapshot's own setting, -mmap is always compressed)")
-	segments := fs.Int("segments", 0, "sharded engine segment count (-in mode; <= 1 is monolithic)")
+	fs.BoolVar(&src.mmap, "mmap", false, "open -index zero-copy via mmap (O(header) startup, demand-paged shared memory)")
+	fs.BoolVar(&src.compress, "compress", false, "block-compressed in-memory lists (-in mode; heap -index mode follows the snapshot's own setting, -mmap is always compressed)")
+	fs.IntVar(&src.segments, "segments", 0, "sharded engine segment count (-in mode; <= 1 is monolithic)")
 	walDir := fs.String("wal-dir", "", "durable mutation log directory: mutations are logged and fsynced here before they are acknowledged, survive kill -9, and replay on restart (disables hot reload)")
 	walSync := fs.String("wal-sync", "always", "mutation log durability: always (one fsync per mutation) or batch (concurrent mutations share fsyncs); only meaningful with -wal-dir")
 	liveTail := fs.Bool("live-tail", true, "serve freshly POSTed documents immediately from the live tail, no flush needed")
@@ -294,56 +340,9 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	var (
-		m      *phrasemine.Miner
-		err    error
-		start  = time.Now()
-		reload func() (*phrasemine.Miner, error)
-	)
-	switch {
-	case *manifest != "":
-		m, err = phrasemine.OpenShardedMiner(*manifest, *workers)
-		if err != nil {
-			return err
-		}
-		reload = func() (*phrasemine.Miner, error) {
-			return phrasemine.OpenShardedMiner(*manifest, *workers)
-		}
-		st := m.IndexStats()
-		fmt.Printf("opened %d-segment manifest %s in %v: %d docs, |P|=%d phrases, %s mapped\n",
-			m.Segments(), *manifest, time.Since(start).Round(time.Millisecond),
-			m.NumDocuments(), m.NumPhrases(), byteSize(st.MappedBytes))
-	case *index != "" && *useMmap:
-		m, err = phrasemine.OpenMinerMapped(*index, *workers)
-		if err != nil {
-			return err
-		}
-		reload = func() (*phrasemine.Miner, error) {
-			return phrasemine.OpenMinerMapped(*index, *workers)
-		}
-		st := m.IndexStats()
-		fmt.Printf("mapped snapshot %s in %v: %d docs, |P|=%d phrases, %s shared mapping\n",
-			*index, time.Since(start).Round(time.Microsecond), m.NumDocuments(), m.NumPhrases(),
-			byteSize(st.MappedBytes))
-	case *index != "":
-		m, err = phrasemine.LoadMinerFile(*index, *workers)
-		if err != nil {
-			return err
-		}
-		reload = func() (*phrasemine.Miner, error) {
-			return phrasemine.LoadMinerFile(*index, *workers)
-		}
-		fmt.Printf("loaded snapshot %s in %v: %d docs, |P|=%d phrases\n",
-			*index, time.Since(start).Round(time.Millisecond), m.NumDocuments(), m.NumPhrases())
-	case *in != "":
-		m, err = buildMiner(*in, *minDF, *workers, *compress, *segments)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("built index from %s in %v: %d docs, |P|=%d phrases\n",
-			*in, time.Since(start).Round(time.Millisecond), m.NumDocuments(), m.NumPhrases())
-	default:
-		return fmt.Errorf("one of -index, -manifest or -in is required")
+	m, reload, err := openMiner(*src, os.Stdout)
+	if err != nil {
+		return err
 	}
 
 	tailCfg := phrasemine.TailConfig{
@@ -385,13 +384,13 @@ func cmdServe(args []string) error {
 		// place, so its log merely grows until the process is rebuilt.
 		snapPath := ""
 		switch {
-		case *manifest != "":
-			snapPath = *manifest
+		case src.manifest != "":
+			snapPath = src.manifest
 			if strings.HasSuffix(snapPath, ".json") {
 				snapPath = filepath.Dir(snapPath)
 			}
-		case *index != "":
-			snapPath = *index
+		case src.index != "":
+			snapPath = src.index
 		}
 		replayed, err := m.EnableWAL(phrasemine.WALConfig{Dir: *walDir, Sync: *walSync, SnapshotPath: snapPath})
 		if err != nil {
@@ -406,12 +405,9 @@ func cmdServe(args []string) error {
 		fmt.Printf("mutation log in %s (sync=%s): replayed %d logged mutations\n", *walDir, *walSync, replayed)
 	}
 
-	if *queryTimeout > 0 {
-		*timeout = *queryTimeout
-	}
 	opts := server.Options{
 		CacheSize:          *cache,
-		QueryTimeout:       *timeout,
+		QueryTimeout:       *queryTimeout,
 		Reload:             reload,
 		MaxInflight:        *maxInflight,
 		QueueTimeout:       *queueTimeout,
@@ -467,7 +463,7 @@ func cmdServe(args []string) error {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("serving on %s (cache=%d, timeout=%v, max-inflight=%d)\n", *addr, *cache, *timeout, *maxInflight)
+		fmt.Printf("serving on %s (cache=%d, timeout=%v, max-inflight=%d)\n", *addr, *cache, *queryTimeout, *maxInflight)
 		errc <- srv.ListenAndServe()
 	}()
 	select {
@@ -549,257 +545,81 @@ func startCompactor(srvr *server.Server, interval time.Duration, maxDocs int) (f
 	}, nil
 }
 
-func buildIndex(path string, minDF, workers int) (*core.Index, error) {
-	c, err := readCorpus(path)
-	if err != nil {
-		return nil, err
-	}
-	return core.Build(c, core.BuildOptions{
-		Extractor: textproc.ExtractorOptions{
-			MinWords:               1,
-			MaxWords:               6,
-			MinDocFreq:             minDF,
-			DropAllStopwordPhrases: true,
-		},
-		Workers: workers,
-	})
-}
-
-func cmdIndex(args []string) error {
-	fs := flag.NewFlagSet("index", flag.ExitOnError)
-	in := fs.String("in", "", "corpus file (one document per line)")
-	out := fs.String("out", "index", "output prefix (<prefix>.dict, <prefix>.lists)")
-	minDF := fs.Int("mindf", 5, "minimum phrase document frequency")
-	workers := fs.Int("workers", 0, "build parallelism (0 = all cores, 1 = sequential)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" {
-		return fmt.Errorf("-in is required")
-	}
-	ix, err := buildIndex(*in, *minDF, *workers)
-	if err != nil {
-		return err
-	}
-	dictPath, listsPath := *out+".dict", *out+".lists"
-	df, err := os.Create(dictPath)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	if _, err := ix.WritePhraseDict(df); err != nil {
-		return err
-	}
-	lf, err := os.Create(listsPath)
-	if err != nil {
-		return err
-	}
-	defer lf.Close()
-	n, err := ix.WriteListIndex(lf, 1.0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("indexed %d docs: |P|=%d phrases -> %s, %d list bytes -> %s\n",
-		ix.Corpus.Len(), ix.NumPhrases(), dictPath, n, listsPath)
-	return nil
-}
-
-func cmdQuery(args []string) error {
+// cmdQuery opens a miner exactly as serve does and prints one
+// MineDetailed answer. -keywords is split on whitespace and normalized by
+// the miner, so "a, b" and "b a" ask the same query.
+func cmdQuery(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	in := fs.String("in", "", "corpus file (build in memory and query)")
-	indexPrefix := fs.String("index", "", "index prefix written by `phrasemine index`")
+	src := sourceFlags(fs)
 	keywords := fs.String("keywords", "", "space-separated query keywords (facets as name:value)")
 	opStr := fs.String("op", "OR", "operator: AND or OR")
-	k := fs.Int("k", 5, "number of results")
-	algo := fs.String("algo", "nra", "algorithm: nra, smj, gm, exact (in-memory mode only)")
-	frac := fs.Float64("frac", 1.0, "partial-list fraction in (0,1]")
-	minDF := fs.Int("mindf", 5, "minimum phrase document frequency (in-memory mode)")
-	workers := fs.Int("workers", 0, "build parallelism (0 = all cores, 1 = sequential; in-memory mode only)")
+	k := fs.Int("k", phrasemine.DefaultK, "number of results")
+	algo := fs.String("algo", "nra", "algorithm: nra, smj, gm, exact")
+	frac := fs.Float64("frac", phrasemine.DefaultListFraction, "partial-list fraction in (0,1]")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *keywords == "" {
+	if strings.TrimSpace(*keywords) == "" {
 		return fmt.Errorf("-keywords is required")
 	}
-	op, err := corpus.ParseOperator(*opStr)
-	if err != nil {
-		return err
-	}
-	q := corpus.ParseQuery(strings.ToLower(*keywords), op)
-
-	switch {
-	case *indexPrefix != "":
-		return queryOnDisk(*indexPrefix, q, *k, *frac)
-	case *in != "":
-		return queryInMemory(*in, q, *k, *algo, *frac, *minDF, *workers)
+	var op phrasemine.Operator
+	switch strings.ToUpper(strings.TrimSpace(*opStr)) {
+	case "AND":
+		op = phrasemine.AND
+	case "OR":
+		op = phrasemine.OR
 	default:
-		return fmt.Errorf("one of -in or -index is required")
+		return fmt.Errorf("unknown operator %q (want AND or OR)", *opStr)
 	}
-}
-
-// queryOnDisk answers with NRA directly over the persisted index files —
-// the paper's disk-resident deployment: only the word lists touched by the
-// query and the matching phrase-dictionary records are read.
-func queryOnDisk(prefix string, q corpus.Query, k int, frac float64) error {
-	lf, err := os.Open(prefix + ".lists")
+	m, _, err := openMiner(*src, os.Stderr)
 	if err != nil {
 		return err
 	}
-	defer lf.Close()
-	reader, err := plist.OpenReader(lf)
+	defer m.Close()
+	kws := strings.Fields(*keywords)
+	mined, err := m.MineDetailed(context.Background(), kws, op, phrasemine.QueryOptions{
+		K:            *k,
+		Algorithm:    phrasemine.Algorithm(*algo),
+		ListFraction: *frac,
+	})
 	if err != nil {
 		return err
 	}
-	if reader.Ordering() != plist.OrderScore {
-		return fmt.Errorf("index %s.lists is not score-ordered", prefix)
-	}
-	cursors := make([]plist.Cursor, len(q.Features))
-	for i, f := range q.Features {
-		cursors[i] = reader.Cursor(f)
-	}
-	results, stats, err := topk.NRA(cursors, topk.NRAOptions{K: k, Op: q.Op, Fraction: frac})
-	if err != nil {
-		return err
-	}
-
-	df, err := os.Open(prefix + ".dict")
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	dict, err := phrasedict.OpenFileDict(df)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("query [%s] k=%d (disk index, %d/%d list entries read)\n",
-		q, k, stats.Iterations, sum(stats.ListLens))
-	for i, r := range results {
-		text, err := dict.Phrase(r.Phrase)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%2d. %-40s score=%.4f\n", i+1, text, r.Score)
+	features := phrasemine.NormalizeKeywords(kws)
+	slices.Sort(features)
+	fmt.Fprintf(w, "query [%s: %s] k=%d algo=%s\n", op, strings.Join(features, " "), *k, *algo)
+	for i, r := range mined.Results {
+		fmt.Fprintf(w, "%2d. %-40s score=%.4f interestingness=%.4f\n", i+1, r.Phrase, r.Score, r.Interestingness)
 	}
 	return nil
 }
 
-func queryInMemory(path string, q corpus.Query, k int, algo string, frac float64, minDF, workers int) error {
-	ix, err := buildIndex(path, minDF, workers)
-	if err != nil {
-		return err
-	}
-	var results []topk.Result
-	switch algo {
-	case "nra":
-		results, _, err = ix.QueryNRA(q, topk.NRAOptions{K: k, Fraction: frac})
-	case "smj":
-		var smj *core.SMJIndex
-		smj, err = ix.BuildSMJ(frac)
-		if err != nil {
-			return err
-		}
-		results, _, err = ix.QuerySMJ(smj, q, topk.SMJOptions{K: k})
-	case "gm", "exact":
-		return queryBaseline(ix, q, k, algo)
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
-	}
-	if err != nil {
-		return err
-	}
-	mined, err := ix.Resolve(results, q)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("query [%s] k=%d algo=%s\n", q, k, algo)
-	for i, m := range mined {
-		fmt.Printf("%2d. %-40s score=%.4f est-interestingness=%.4f\n",
-			i+1, m.Phrase, m.Score, m.Estimate)
-	}
-	return nil
-}
-
-func queryBaseline(ix *core.Index, q corpus.Query, k int, algo string) error {
-	var (
-		scored []struct {
-			id    phrasedict.PhraseID
-			score float64
-		}
-	)
-	switch algo {
-	case "gm":
-		g, err := ix.GM()
-		if err != nil {
-			return err
-		}
-		res, _, err := g.TopK(q, k)
-		if err != nil {
-			return err
-		}
-		for _, r := range res {
-			scored = append(scored, struct {
-				id    phrasedict.PhraseID
-				score float64
-			}{r.Phrase, r.Score})
-		}
-	case "exact":
-		e, err := ix.Exact()
-		if err != nil {
-			return err
-		}
-		res, err := e.TopK(q, k)
-		if err != nil {
-			return err
-		}
-		for _, r := range res {
-			scored = append(scored, struct {
-				id    phrasedict.PhraseID
-				score float64
-			}{r.Phrase, r.Score})
-		}
-	}
-	fmt.Printf("query [%s] k=%d algo=%s (exact interestingness)\n", q, k, algo)
-	for i, s := range scored {
-		text, err := ix.PhraseText(s.id)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%2d. %-40s interestingness=%.4f\n", i+1, text, s.score)
-	}
-	return nil
-}
-
-func cmdStats(args []string) error {
+// cmdStats opens a miner exactly as serve does and prints its size and
+// index footprint.
+func cmdStats(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	in := fs.String("in", "", "corpus file")
-	minDF := fs.Int("mindf", 5, "minimum phrase document frequency")
-	workers := fs.Int("workers", 0, "build parallelism (0 = all cores, 1 = sequential)")
+	src := sourceFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" {
-		return fmt.Errorf("-in is required")
-	}
-	ix, err := buildIndex(*in, *minDF, *workers)
+	m, _, err := openMiner(*src, os.Stderr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("documents:        %d\n", ix.Corpus.Len())
-	fmt.Printf("phrases |P|:      %d\n", ix.NumPhrases())
-	fmt.Printf("features |W|:     %d\n", ix.Inverted.VocabSize())
-	fmt.Printf("list index:       %s (full)\n", byteSize(ix.ListIndexSize(1.0)))
-	fmt.Printf("phrase dict:      %s\n", byteSize(int64(ix.Dict.SizeBytes())))
-	lens := make([]int, 0, len(ix.Lists))
-	for _, l := range ix.Lists {
-		lens = append(lens, len(l))
+	defer m.Close()
+	st := m.IndexStats()
+	fmt.Fprintf(w, "documents:        %d\n", m.NumDocuments())
+	fmt.Fprintf(w, "phrases |P|:      %d\n", m.NumPhrases())
+	fmt.Fprintf(w, "features |W|:     %d\n", m.VocabSize())
+	if st.Segments > 0 {
+		fmt.Fprintf(w, "segments:         %d\n", st.Segments)
 	}
-	sort.Ints(lens)
-	if len(lens) > 0 {
-		fmt.Printf("list lengths:     median=%d max=%d\n", lens[len(lens)/2], lens[len(lens)-1])
-	}
+	fmt.Fprintf(w, "list entries:     %d (%s, %.2f B/entry)\n", st.ListEntries, byteSize(st.ListBytes), st.BytesPerEntry)
+	fmt.Fprintf(w, "postings:         %d (%s, %.2f B/posting)\n", st.Postings, byteSize(st.PostingBytes), st.BytesPerPosting)
+	fmt.Fprintf(w, "compressed:       %t\n", st.Compressed)
+	fmt.Fprintf(w, "mapped:           %t\n", st.Mapped)
 	return nil
 }
-
 func byteSize(n int64) string {
 	switch {
 	case n >= 1<<30:
@@ -811,12 +631,4 @@ func byteSize(n int64) string {
 	default:
 		return fmt.Sprintf("%d B", n)
 	}
-}
-
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -23,10 +27,11 @@ func TestParseFacets(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parseFacets = %v", got)
 	}
-	// Uppercase values are lowercased to match the tokenizer.
-	got, ok = parseFacets("venue=SIGMOD")
-	if !ok || got["venue"] != "sigmod" {
-		t.Fatalf("case normalization: %v", got)
+	// Case is kept as written: the miner lowercases facets when it
+	// indexes them (TestQueryFacetAnyCase).
+	got, ok = parseFacets("Venue=SIGMOD")
+	if !ok || got["Venue"] != "SIGMOD" {
+		t.Fatalf("parseFacets(Venue=SIGMOD) = %v", got)
 	}
 	for _, bad := range []string{"", "noequals", "=value", "key=", "a=b plain"} {
 		if _, ok := parseFacets(bad); ok {
@@ -50,33 +55,28 @@ func TestReadCorpus(t *testing.T) {
 			"\n"+ // blank lines skipped
 			"plain text document without facets\n"+
 			"text with a literal\ttab that is not a facet header\n")
-	c, err := readCorpus(path)
+	docs, err := readDocuments(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("read %d docs, want 3", c.Len())
+	want := []phrasemine.Document{
+		{Text: "query optimization in databases", Facets: map[string]string{"venue": "sigmod"}},
+		{Text: "plain text document without facets"},
+		{Text: "text with a literal\ttab that is not a facet header"},
 	}
-	d0 := c.MustDoc(0)
-	if d0.Facets["venue"] != "sigmod" {
-		t.Fatalf("doc 0 facets = %v", d0.Facets)
-	}
-	if len(d0.Tokens) == 0 || d0.Tokens[0] != "query" {
-		t.Fatalf("doc 0 tokens = %v", d0.Tokens)
-	}
-	d2 := c.MustDoc(2)
-	if d2.Facets != nil {
-		t.Fatalf("literal-tab line should not grow facets: %v", d2.Facets)
+	if !reflect.DeepEqual(docs, want) {
+		t.Fatalf("readDocuments = %#v\nwant %#v", docs, want)
 	}
 }
 
 func TestReadCorpusErrors(t *testing.T) {
-	if _, err := readCorpus("/nonexistent/file"); err == nil {
+	if _, err := readDocuments("/nonexistent/file"); err == nil {
 		t.Fatal("missing file should error")
 	}
-	empty := writeTempCorpus(t, "\n\n")
-	if _, err := readCorpus(empty); err == nil {
-		t.Fatal("empty corpus should error")
+	for _, content := range []string{"", "\n\n"} {
+		if _, err := readDocuments(writeTempCorpus(t, content)); err == nil {
+			t.Fatalf("corpus %q without documents should error", content)
+		}
 	}
 }
 
@@ -129,21 +129,196 @@ func TestCmdBuildIndexErrors(t *testing.T) {
 	}
 }
 
-func TestBuildIndexEndToEnd(t *testing.T) {
+// twoTopicCorpus is a corpus file whose phrases clear -mindf 3.
+func twoTopicCorpus(t *testing.T) string {
+	t.Helper()
 	var lines string
 	for i := 0; i < 10; i++ {
 		lines += "the economic minister discussed trade reserves\n"
 		lines += "query optimization in database systems\n"
+		lines += "Topic=Trade\tforeign trade reserves rose sharply\n"
 	}
-	path := writeTempCorpus(t, lines)
-	ix, err := buildIndex(path, 3, 0)
+	return writeTempCorpus(t, lines)
+}
+
+func TestBuildIndexEndToEnd(t *testing.T) {
+	m, err := buildMiner(twoTopicCorpus(t), 3, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumPhrases() == 0 {
-		t.Fatal("no phrases")
+	defer m.Close()
+	if m.NumDocuments() != 30 || m.NumPhrases() == 0 {
+		t.Fatalf("built %d docs, %d phrases", m.NumDocuments(), m.NumPhrases())
 	}
-	if _, ok, err := ix.Dict.ID("economic minister"); err != nil || !ok {
-		t.Fatal("expected phrase missing")
+	res, err := m.Mine([]string{"economic"}, phrasemine.AND, phrasemine.QueryOptions{K: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, r := range res {
+		found = found || r.Phrase == "economic minister"
+	}
+	if !found {
+		t.Fatalf("expected phrase missing from %v", res)
+	}
+}
+
+// runCmd runs a query or stats command and returns what it printed.
+func runCmd(t *testing.T, cmd func(io.Writer, []string) error, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := cmd(&out, args); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return out.String()
+}
+
+// wantQueryOutput renders MineDetailed's answer on m the way query prints
+// it, without the header line.
+func wantQueryOutput(t *testing.T, m *phrasemine.Miner, keywords []string, op phrasemine.Operator, opt phrasemine.QueryOptions) string {
+	t.Helper()
+	mined, err := m.MineDetailed(context.Background(), keywords, op, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for i, r := range mined.Results {
+		fmt.Fprintf(&b, "%2d. %-40s score=%.4f interestingness=%.4f\n", i+1, r.Phrase, r.Score, r.Interestingness)
+	}
+	return b.String()
+}
+
+// results drops query's header line.
+func results(out string) string {
+	_, rest, _ := strings.Cut(out, "\n")
+	return rest
+}
+
+// TestQueryMatchesMineDetailed checks that query answers exactly what
+// MineDetailed answers on the same miner, from each of the three sources
+// serve opens.
+func TestQueryMatchesMineDetailed(t *testing.T) {
+	corpusPath := twoTopicCorpus(t)
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "corpus.snap")
+	shards := filepath.Join(dir, "shards")
+	if err := cmdBuildIndex([]string{"-in", corpusPath, "-out", snap, "-mindf", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdBuildIndex([]string{"-in", corpusPath, "-out", shards, "-mindf", "3", "-segments", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	sources := []struct {
+		name string
+		args []string
+		open func() (*phrasemine.Miner, error)
+	}{
+		{"in", []string{"-in", corpusPath, "-mindf", "3"}, func() (*phrasemine.Miner, error) {
+			return buildMiner(corpusPath, 3, 0, false, 0)
+		}},
+		{"index", []string{"-index", snap}, func() (*phrasemine.Miner, error) {
+			return phrasemine.LoadMinerFile(snap, 0)
+		}},
+		{"manifest", []string{"-manifest", shards}, func() (*phrasemine.Miner, error) {
+			return phrasemine.OpenShardedMiner(shards, 0)
+		}},
+	}
+	queries := []struct {
+		keywords string
+		op       phrasemine.Operator
+		opt      phrasemine.QueryOptions
+		flags    []string
+	}{
+		{"trade reserves", phrasemine.OR, phrasemine.QueryOptions{K: 5, Algorithm: phrasemine.AlgoNRA}, []string{"-op", "OR"}},
+		{"trade", phrasemine.AND, phrasemine.QueryOptions{K: 3, Algorithm: phrasemine.AlgoSMJ, ListFraction: 0.5}, []string{"-op", "and", "-k", "3", "-algo", "smj", "-frac", "0.5"}},
+		{"query optimization", phrasemine.AND, phrasemine.QueryOptions{K: 5, Algorithm: phrasemine.AlgoExact}, []string{"-op", "AND", "-algo", "exact"}},
+		{"economic", phrasemine.OR, phrasemine.QueryOptions{K: 4, Algorithm: phrasemine.AlgoGM}, []string{"-k", "4", "-algo", "gm"}},
+	}
+	for _, src := range sources {
+		m, err := src.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			args := append(append(append([]string(nil), src.args...), "-keywords", q.keywords), q.flags...)
+			got := runCmd(t, cmdQuery, args...)
+			want := wantQueryOutput(t, m, strings.Fields(q.keywords), q.op, q.opt)
+			if want == "" {
+				t.Fatalf("%s %v: MineDetailed answered nothing; the fixture is too small", src.name, args)
+			}
+			if results(got) != want {
+				t.Errorf("%s %v printed\n%s\nwant\n%s", src.name, args, got, want)
+			}
+		}
+		m.Close()
+	}
+}
+
+// TestQueryKeywordsNormalized checks that query hands its keywords to the
+// miner's normalization: punctuation and order do not change the query.
+func TestQueryKeywordsNormalized(t *testing.T) {
+	corpusPath := twoTopicCorpus(t)
+	comma := runCmd(t, cmdQuery, "-in", corpusPath, "-mindf", "3", "-op", "AND", "-keywords", "trade, reserves")
+	spaced := runCmd(t, cmdQuery, "-in", corpusPath, "-mindf", "3", "-op", "AND", "-keywords", "reserves trade")
+	if results(comma) == "" {
+		t.Fatalf("\"trade, reserves\" answered nothing:\n%s", comma)
+	}
+	if comma != spaced {
+		t.Fatalf("\"trade, reserves\" printed\n%s\n\"reserves trade\" printed\n%s", comma, spaced)
+	}
+}
+
+// TestQueryFacetAnyCase checks that a facet written with capitals in the
+// corpus file is queryable in any case.
+func TestQueryFacetAnyCase(t *testing.T) {
+	corpusPath := twoTopicCorpus(t)
+	lower := runCmd(t, cmdQuery, "-in", corpusPath, "-mindf", "3", "-op", "AND", "-keywords", "topic:trade")
+	upper := runCmd(t, cmdQuery, "-in", corpusPath, "-mindf", "3", "-op", "AND", "-keywords", "Topic:TRADE")
+	if results(lower) == "" {
+		t.Fatalf("topic:trade answered nothing:\n%s", lower)
+	}
+	if lower != upper {
+		t.Fatalf("topic:trade printed\n%s\nTopic:TRADE printed\n%s", lower, upper)
+	}
+}
+
+func TestQueryErrors(t *testing.T) {
+	corpusPath := twoTopicCorpus(t)
+	for _, args := range [][]string{
+		{"-keywords", "trade"},             // no source
+		{"-in", corpusPath, "-mindf", "3"}, // no keywords
+		{"-in", corpusPath, "-keywords", "trade", "-op", "XOR"},
+		{"-in", corpusPath, "-keywords", "trade", "-algo", "bogus"},
+		{"-index", filepath.Join(t.TempDir(), "missing.snap"), "-keywords", "trade"},
+	} {
+		if err := cmdQuery(io.Discard, args); err == nil {
+			t.Errorf("query %v succeeded", args)
+		}
+	}
+}
+
+// TestStatsReportsMinerCounts checks stats against the miner it opens.
+func TestStatsReportsMinerCounts(t *testing.T) {
+	corpusPath := twoTopicCorpus(t)
+	snap := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := cmdBuildIndex([]string{"-in", corpusPath, "-out", snap, "-mindf", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := phrasemine.LoadMinerFile(snap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, args := range [][]string{{"-index", snap}, {"-in", corpusPath, "-mindf", "3"}} {
+		out := runCmd(t, cmdStats, args...)
+		for _, want := range []string{
+			fmt.Sprintf("documents:        %d\n", m.NumDocuments()),
+			fmt.Sprintf("phrases |P|:      %d\n", m.NumPhrases()),
+			fmt.Sprintf("features |W|:     %d\n", m.VocabSize()),
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("stats %v printed\n%s\nmissing %q", args, out, want)
+			}
+		}
 	}
 }

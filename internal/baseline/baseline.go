@@ -1,5 +1,5 @@
-// Package baseline implements the comparison systems of the paper's
-// Section 2 (Table 3), built from scratch:
+// Package baseline implements the comparison systems the paper's figures
+// run (Section 2, Table 3), built from scratch:
 //
 //   - GM: the document-forward-index approach of Gao & Michel (EDBT 2012),
 //     the paper's primary baseline. It is exact: given D' it merge-counts
@@ -7,12 +7,6 @@
 //     and scores with the interestingness measure of Eq. 1. Its cost is
 //     linear in |D'|, which is precisely the behaviour the paper's
 //     experiments exhibit (OR queries are much slower than AND).
-//
-//   - Simitsis: the phrase-list approach of Simitsis et al. (PVLDB 2008):
-//     one list per phrase ordered by decreasing global frequency, a
-//     first phase that prunes on intersection cardinality, and a second
-//     phase that scores the surviving candidates — approximate, because
-//     the frequency-based filter disagrees with the normalized score.
 //
 //   - Exact: a direct evaluator of Eq. 1 over phrase postings, used as
 //     ground truth by the quality harness and to cross-check GM.
@@ -89,15 +83,6 @@ func (h *topKHeap) offer(s Scored) {
 		h.items[i], h.items[min] = h.items[min], h.items[i]
 		i = min
 	}
-}
-
-// kthScore reports the current k-th best score, or -1 when fewer than k
-// results were offered.
-func (h *topKHeap) kthScore() float64 {
-	if len(h.items) < h.k {
-		return -1
-	}
-	return h.items[0].Score
 }
 
 // sorted extracts the selected results best-first.

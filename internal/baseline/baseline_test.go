@@ -246,106 +246,6 @@ func TestExactInterestingness(t *testing.T) {
 	}
 }
 
-func TestSimitsisSubsetOfExactUniverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(123))
-	const vocab = 10
-	f := makeFixture(rng, 100, vocab, 60)
-	s, err := NewSimitsis(f.inverted, f.phraseDocs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := f.exact(t)
-	for trial := 0; trial < 100; trial++ {
-		q := f.randomQuery(rng, vocab)
-		k := 1 + rng.Intn(6)
-		got, _, err := s.TopK(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every returned score must be the true interestingness.
-		dPrime, err := e.Select(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		set := corpus.BitmapFromList(dPrime, f.corpus.Len())
-		for _, r := range got {
-			if want := e.Interestingness(r.Phrase, set); r.Score != want {
-				t.Fatalf("trial %d: Simitsis score %v != exact %v", trial, r.Score, want)
-			}
-		}
-	}
-}
-
-func TestSimitsisPhase1PrefersFrequent(t *testing.T) {
-	// Construct a case where the approximation shows: a rare phrase with
-	// perfect normalized score is discarded by the frequency-first
-	// filter when the pool is full of frequent phrases.
-	c := corpus.New()
-	for i := 0; i < 10; i++ {
-		c.Add(corpus.Document{Tokens: []string{"common"}})
-	}
-	c.Add(corpus.Document{Tokens: []string{"common", "rare"}}) // doc 10
-	c.Add(corpus.Document{Tokens: []string{"other"}})          // doc 11, outside D'(common)
-	ix := mustInverted(c)
-	// Phrases 0..2: df 11 = docs 0..9 plus doc 11, so their intersection
-	// with D'(common) is 10 and their interestingness 10/11 < 1.
-	// Phrase 3: df 1 (only doc 10), interestingness 1.0.
-	wide := make([]corpus.DocID, 0, 11)
-	for i := 0; i < 10; i++ {
-		wide = append(wide, corpus.DocID(i))
-	}
-	wide = append(wide, 11)
-	phraseDocs := [][]corpus.DocID{wide, wide, wide, {10}}
-	s, err := NewSimitsis(ix, phraseDocs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := s.TopK(corpus.NewQuery(corpus.OpOR, "common"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pool (size 3) fills with phrases 0,1,2 at freq 11; phrase 3's list
-	// (length 1) is below the cutoff and is never scanned.
-	for _, r := range got {
-		if r.Phrase == 3 {
-			t.Fatalf("phase-1 filter failed to drop the rare phrase: %v", got)
-		}
-	}
-	if !stats.CutoffFired {
-		t.Fatalf("cutoff did not fire: %+v", stats)
-	}
-	// With a larger pool the rare phrase survives and wins on score.
-	s4, err := NewSimitsis(ix, phraseDocs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got4, _, err := s4.TopK(corpus.NewQuery(corpus.OpOR, "common"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range got4 {
-		if r.Phrase == 3 && r.Score == 1.0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("larger pool should recover the rare phrase: %v", got4)
-	}
-}
-
-func TestSimitsisValidation(t *testing.T) {
-	if _, err := NewSimitsis(nil, nil, 1); err == nil {
-		t.Fatal("nil inverted should error")
-	}
-	c := corpus.New()
-	c.Add(corpus.Document{Tokens: []string{"a"}})
-	ix := mustInverted(c)
-	if _, err := NewSimitsis(ix, nil, 0); err == nil {
-		t.Fatal("poolMultiple=0 should error")
-	}
-}
-
 func TestTopKHeapOrderingAndBounds(t *testing.T) {
 	h := newTopKHeap(3)
 	for i, s := range []float64{0.1, 0.9, 0.5, 0.7, 0.3} {
@@ -360,9 +260,6 @@ func TestTopKHeapOrderingAndBounds(t *testing.T) {
 		if got[i].Score != wantScores[i] {
 			t.Fatalf("heap order = %v", got)
 		}
-	}
-	if h.kthScore() != 0.5 {
-		t.Fatalf("kthScore = %v", h.kthScore())
 	}
 }
 

@@ -9,9 +9,7 @@ import (
 	"testing"
 
 	"phrasemine/internal/corpus"
-	"phrasemine/internal/diskio"
 	"phrasemine/internal/phrasedict"
-	"phrasemine/internal/plist"
 	"phrasemine/internal/synth"
 	"phrasemine/internal/textproc"
 	"phrasemine/internal/topk"
@@ -240,52 +238,6 @@ func TestRestrictedBuildErrorsOnUncoveredFeature(t *testing.T) {
 	}
 }
 
-func TestDiskIndexAgreesWithMemory(t *testing.T) {
-	ix := getIndex(t)
-	disk, err := diskio.NewDisk(diskio.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reader, err := ix.OpenSimDiskIndex(disk, "lists.idx", 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range []corpus.Operator{corpus.OpAND, corpus.OpOR} {
-		q := someQuery(t, ix, op, 2)
-		mem, _, err := ix.QueryNRA(q, topk.NRAOptions{K: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dsk, _, err := ix.QueryNRADisk(reader, q, topk.NRAOptions{K: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(idSet(mem), idSet(dsk)) {
-			t.Fatalf("%v: memory %v != disk %v", q, idSet(mem), idSet(dsk))
-		}
-	}
-	if disk.Stats().IOTimeMS == 0 {
-		t.Fatal("disk queries accounted no IO time")
-	}
-}
-
-func TestDiskIndexRejectsIDOrdering(t *testing.T) {
-	ix := getIndex(t)
-	var buf bytes.Buffer
-	smj := mustSMJ(ix, 0.5)
-	if _, err := plist.WriteIDIndex(&buf, smj.Lists); err != nil {
-		t.Fatal(err)
-	}
-	r, err := plist.OpenReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := someQuery(t, ix, corpus.OpOR, 2)
-	if _, _, err := ix.QueryNRADisk(r, q, topk.NRAOptions{K: 5}); err == nil {
-		t.Fatal("NRA over an ID-ordered index should be rejected")
-	}
-}
-
 func TestResolveAttachesTextAndEstimate(t *testing.T) {
 	ix := getIndex(t)
 	q := someQuery(t, ix, corpus.OpOR, 2)
@@ -335,10 +287,10 @@ func TestIndexSizeAccounting(t *testing.T) {
 	}
 }
 
-func TestWritePhraseDictRoundTrip(t *testing.T) {
+func TestPhraseDictRoundTrip(t *testing.T) {
 	ix := getIndex(t)
 	var buf bytes.Buffer
-	if _, err := ix.WritePhraseDict(&buf); err != nil {
+	if _, err := ix.Dict.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := phrasedict.ReadFrom(&buf)
@@ -355,68 +307,6 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestGMCompressedAgreesOnRealCorpus(t *testing.T) {
-	ix := getIndex(t)
-	g, err := ix.GM()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc, err := ix.GMCompressed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := gc.CompressionRatio(); r >= 1.0 || r <= 0 {
-		t.Fatalf("CompressionRatio = %v, want (0,1)", r)
-	}
-	for _, op := range []corpus.Operator{corpus.OpAND, corpus.OpOR} {
-		for _, n := range []int{1, 2, 3} {
-			q := someQuery(t, ix, op, n)
-			want, _, err := g.TopK(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := gc.TopK(q, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v: compressed %v != plain %v", q, got, want)
-			}
-		}
-	}
-}
-
-func TestSimitsisOnRealCorpus(t *testing.T) {
-	ix := getIndex(t)
-	s, err := ix.Simitsis(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := ix.Exact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := someQuery(t, ix, corpus.OpOR, 2)
-	res, _, err := s.TopK(q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) == 0 {
-		t.Fatal("Simitsis returned nothing")
-	}
-	// Returned scores are the true interestingness values.
-	dPrime, err := e.Select(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := corpus.BitmapFromList(dPrime, ix.Corpus.Len())
-	for _, r := range res {
-		if want := e.Interestingness(r.Phrase, set); r.Score != want {
-			t.Fatalf("Simitsis score %v != exact %v for phrase %d", r.Score, want, r.Phrase)
-		}
-	}
 }
 
 // TestSMJCacheConcurrentFractions hammers Index.SMJ from several goroutines

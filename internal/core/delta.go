@@ -130,19 +130,14 @@ func (d *Delta) RemoveDocument(id corpus.DocID) error {
 	return nil
 }
 
-// AdjustedProb corrects a stored P(feature|phrase) with the delta counts:
+// adjusted corrects a stored P(feature|phrase) with the delta counts of
+// one feature (dco, nil when the feature has none pending):
 //
 //	P'(f|p) = (co + Δco) / (df + Δdf)
 //
 // The stored co-occurrence count is recovered from the stored probability
 // and the base document frequency (prob = co/df exactly, both integers at
 // build time).
-func (d *Delta) AdjustedProb(feature string, p phrasedict.PhraseID, stored float64) float64 {
-	return d.adjusted(d.dCo[feature], p, stored)
-}
-
-// adjusted is AdjustedProb over one feature's pending pair counts (nil when
-// the feature has none).
 func (d *Delta) adjusted(dco map[phrasedict.PhraseID]int, p phrasedict.PhraseID, stored float64) float64 {
 	df := int(d.ix.PhraseDF[p])
 	co := int(math.Round(stored * float64(df)))

@@ -46,7 +46,7 @@ func TestDeltaAddDocumentAdjustsProbabilities(t *testing.T) {
 		t.Fatal("bigram missing from dictionary")
 	}
 	// Base: P(gamma | alpha beta) = |{0,1} ∩ {0,2,3}| / 2 = 1/2.
-	if got := d.AdjustedProb("gamma", abID, 0.5); got != 0.5 {
+	if got := d.adjusted(d.dCo["gamma"], abID, 0.5); got != 0.5 {
 		t.Fatalf("no-op delta changed probability: %v", got)
 	}
 
@@ -56,7 +56,7 @@ func TestDeltaAddDocumentAdjustsProbabilities(t *testing.T) {
 	if d.Size() != 1 {
 		t.Fatalf("Size = %d", d.Size())
 	}
-	got := d.AdjustedProb("gamma", abID, 0.5)
+	got := d.adjusted(d.dCo["gamma"], abID, 0.5)
 	if math.Abs(got-2.0/3.0) > 1e-12 {
 		t.Fatalf("adjusted P(gamma|alpha beta) = %v, want 2/3", got)
 	}
@@ -72,11 +72,11 @@ func TestDeltaRemoveDocumentAdjustsProbabilities(t *testing.T) {
 	if err := d.RemoveDocument(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.AdjustedProb("gamma", abID, 0.5); got != 0 {
+	if got := d.adjusted(d.dCo["gamma"], abID, 0.5); got != 0 {
 		t.Fatalf("adjusted prob = %v, want 0", got)
 	}
 	// co(delta, alpha beta) stays 1 while df drops to 1 => 1.
-	if got := d.AdjustedProb("delta", abID, 0.5); got != 1 {
+	if got := d.adjusted(d.dCo["delta"], abID, 0.5); got != 1 {
 		t.Fatalf("adjusted P(delta|alpha beta) = %v, want 1", got)
 	}
 }
@@ -195,7 +195,7 @@ func TestDeltaProbClamping(t *testing.T) {
 	if err := d.RemoveDocument(1); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.AdjustedProb("alpha", abID, 1.0); got != 0 {
+	if got := d.adjusted(d.dCo["alpha"], abID, 1.0); got != 0 {
 		t.Fatalf("df=0 should clamp to 0, got %v", got)
 	}
 }

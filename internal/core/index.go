@@ -378,7 +378,8 @@ func (ix *Index) PhraseText(id phrasedict.PhraseID) (string, error) {
 // ScoreLists returns the full score-ordered lists, decoding them from the
 // compressed block set when the index runs compressed. The decode
 // materializes every list, so this is for cold paths (SMJ index builds,
-// disk-index serialization, diagnostics), not per-query use.
+// the experiments' simulated-disk list file, diagnostics), not per-query
+// use.
 func (ix *Index) ScoreLists() (map[string]plist.ScoreList, error) {
 	if ix.Blocks == nil {
 		return ix.Lists, nil
@@ -420,16 +421,6 @@ func (ix *Index) EstimateFullIndexSize(fraction float64) int64 {
 	}
 	avg *= math.Max(0, math.Min(1, fraction))
 	return int64(avg * plist.EntrySize * float64(ix.Inverted.VocabSize()))
-}
-
-// WriteListIndex serializes the score-ordered lists (truncated to fraction)
-// into the plist index-file format, for disk-resident operation.
-func (ix *Index) WriteListIndex(w io.Writer, fraction float64) (int64, error) {
-	lists, err := ix.ScoreLists()
-	if err != nil {
-		return 0, err
-	}
-	return plist.WriteIndex(w, plist.TruncateAll(lists, fraction))
 }
 
 // MemStats describes the physical footprint of the index's query-time list
@@ -498,11 +489,6 @@ func (ix *Index) MemStats() MemStats {
 	s.IDOrderedCopies = len(ix.idCopies)
 	ix.idMu.Unlock()
 	return s
-}
-
-// WritePhraseDict serializes the fixed-width phrase list.
-func (ix *Index) WritePhraseDict(w io.Writer) (int64, error) {
-	return ix.Dict.WriteTo(w)
 }
 
 // GM returns the (lazily built, cached) Gao & Michel forward-index
@@ -654,25 +640,6 @@ func (ix *Index) evictPartialLocked() {
 	if partials >= MaxPartialSMJ {
 		delete(ix.idCopies, oldest)
 	}
-}
-
-// Simitsis builds the phrase-list baseline with the given pool multiple.
-func (ix *Index) Simitsis(poolMultiple int) (*baseline.Simitsis, error) {
-	if err := ix.materializeDocs(); err != nil {
-		return nil, err
-	}
-	return baseline.NewSimitsis(ix.Inverted, ix.PhraseDocs, poolMultiple)
-}
-
-// GMCompressed builds the forward-index baseline with the prefix
-// compression optimization (Section 2's Bedathur-style storage reduction).
-// Results are identical to GM; the forward index is smaller and queries pay
-// a chain-expansion cost.
-func (ix *Index) GMCompressed() (*baseline.GMCompressed, error) {
-	if err := ix.materializeDocs(); err != nil {
-		return nil, err
-	}
-	return baseline.NewGMCompressed(ix.Inverted, ix.Forward, ix.PhraseDF, ix.Dict)
 }
 
 // PhraseDocFreqByText reports |docs(D, p)| for a phrase given by its

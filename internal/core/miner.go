@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"phrasemine/internal/corpus"
-	"phrasemine/internal/diskio"
 	"phrasemine/internal/phrasedict"
 	"phrasemine/internal/plist"
 	"phrasemine/internal/topk"
@@ -153,59 +152,6 @@ func (ix *Index) QueryNRAShared(q corpus.Query, opt topk.NRAOptions, sc *plist.S
 		return nil, topk.NRAStats{}, err
 	}
 	return topk.NRAScratch(cursors, opt, s)
-}
-
-// QueryNRADisk answers a query with NRA over a disk-resident list index
-// opened from a plist.Reader (typically backed by the diskio simulator).
-func (ix *Index) QueryNRADisk(r *plist.Reader, q corpus.Query, opt topk.NRAOptions) ([]topk.Result, topk.NRAStats, error) {
-	if err := q.Validate(); err != nil {
-		return nil, topk.NRAStats{}, err
-	}
-	if r.Ordering() != plist.OrderScore {
-		return nil, topk.NRAStats{}, fmt.Errorf("core: NRA requires a score-ordered index, got %v", r.Ordering())
-	}
-	opt.Op = q.Op
-	pool := ix.ScratchPool()
-	s := pool.Get()
-	defer pool.Put(s)
-	cursors := s.Cursors(len(q.Features))
-	for i, f := range q.Features {
-		if !r.Has(f) {
-			if err := ix.unbuilt(f); err != nil {
-				return nil, topk.NRAStats{}, err
-			}
-		}
-		cursors[i] = r.Cursor(f)
-	}
-	return topk.NRAScratch(cursors, opt, s)
-}
-
-// OpenSimDiskIndex serializes the index's lists (truncated to fraction)
-// onto the simulated disk under the given file name and opens a reader
-// over it. The returned reader's cursor reads are charged to the
-// simulator's cost model.
-func (ix *Index) OpenSimDiskIndex(disk *diskio.Disk, name string, fraction float64) (*plist.Reader, error) {
-	var buf writerBuffer
-	if _, err := ix.WriteListIndex(&buf, fraction); err != nil {
-		return nil, err
-	}
-	if err := disk.CreateFile(name, buf.data); err != nil {
-		return nil, err
-	}
-	f, err := disk.File(name)
-	if err != nil {
-		return nil, err
-	}
-	return plist.OpenReader(f)
-}
-
-// writerBuffer is a minimal io.Writer that keeps ownership of its bytes
-// (bytes.Buffer would force a copy to hand the slice to diskio).
-type writerBuffer struct{ data []byte }
-
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.data = append(w.data, p...)
-	return len(p), nil
 }
 
 // fanOut runs fn(i) for i in [0, n) through the index's bounded query

@@ -37,40 +37,34 @@ func buildAt(t *testing.T, c *corpus.Corpus, workers, shards int) *Index {
 	return ix
 }
 
-// serialize renders the index's persistent artifacts (phrase dictionary +
-// full list index) to bytes; the byte-identity of these artifacts is the
-// strongest equivalence statement the system can make.
-func serialize(t *testing.T, ix *Index) (dict, lists []byte) {
+// serialize renders the whole index snapshot — corpus, dictionary,
+// inverted index, phrase documents and lists — to bytes; the byte-identity
+// of the snapshot is the strongest equivalence statement the system can
+// make.
+func serialize(t *testing.T, ix *Index) []byte {
 	t.Helper()
-	var db, lb bytes.Buffer
-	if _, err := ix.WritePhraseDict(&db); err != nil {
+	var buf bytes.Buffer
+	if _, err := ix.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.WriteListIndex(&lb, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	return db.Bytes(), lb.Bytes()
+	return buf.Bytes()
 }
 
 // TestParallelBuildByteIdentical asserts the tentpole determinism contract:
-// index construction at any worker/shard count produces byte-identical
-// serialized artifacts and structurally identical in-memory indexes to the
-// sequential (Workers=1) build.
+// index construction at any worker/shard count produces a byte-identical
+// snapshot and structurally identical in-memory indexes to the sequential
+// (Workers=1) build.
 func TestParallelBuildByteIdentical(t *testing.T) {
 	c := parallelTestCorpus(t)
 	seq := buildAt(t, c, 1, 0)
-	seqDict, seqLists := serialize(t, seq)
+	seqSnap := serialize(t, seq)
 
 	for _, tc := range []struct{ workers, shards int }{
 		{2, 0}, {4, 0}, {4, 3}, {8, 31},
 	} {
 		par := buildAt(t, c, tc.workers, tc.shards)
-		parDict, parLists := serialize(t, par)
-		if !bytes.Equal(seqDict, parDict) {
-			t.Errorf("workers=%d shards=%d: phrase dictionary bytes diverge", tc.workers, tc.shards)
-		}
-		if !bytes.Equal(seqLists, parLists) {
-			t.Errorf("workers=%d shards=%d: list index bytes diverge", tc.workers, tc.shards)
+		if !bytes.Equal(seqSnap, serialize(t, par)) {
+			t.Errorf("workers=%d shards=%d: snapshot bytes diverge", tc.workers, tc.shards)
 		}
 		if !reflect.DeepEqual(seq.PhraseDF, par.PhraseDF) {
 			t.Errorf("workers=%d: PhraseDF diverges", tc.workers)

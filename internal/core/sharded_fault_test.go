@@ -28,11 +28,11 @@ func TestSaveSegmentsFaultsKeepPreviousGeneration(t *testing.T) {
 
 	dir := t.TempDir()
 	manPath := filepath.Join(dir, diskio.ManifestFileName)
-	man, err := sx.SaveSegments(dir)
+	man, err := sx.SaveSegmentsFS(faultfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := diskio.WriteManifest(manPath, man); err != nil {
+	if err := diskio.WriteManifestFS(faultfs.OS{}, manPath, man); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,14 +78,14 @@ func TestSaveSegmentsFaultsKeepPreviousGeneration(t *testing.T) {
 
 	// A clean retry lands on fresh names, and after the manifest commits
 	// the superseded generation is garbage-collected.
-	man2, err := sx.SaveSegments(dir)
+	man2, err := sx.SaveSegmentsFS(faultfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if man2.Segments[0].File == man.Segments[0].File {
 		t.Fatalf("rewrite reused live segment name %q", man2.Segments[0].File)
 	}
-	if err := diskio.WriteManifest(manPath, man2); err != nil {
+	if err := diskio.WriteManifestFS(faultfs.OS{}, manPath, man2); err != nil {
 		t.Fatal(err)
 	}
 	CleanupSegments(faultfs.OS{}, dir, man2)

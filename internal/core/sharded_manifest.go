@@ -36,22 +36,17 @@ func segmentFileName(i, gen int) string {
 // segmentFilePattern matches any generation's segment file names.
 var segmentFilePattern = regexp.MustCompile(`^segment-\d{3}(\.g\d+)?\.snap$`)
 
-// SaveSegments writes one v2 snapshot per segment into dir (creating it)
-// and returns the manifest describing them. The caller (the public Miner)
-// attaches its configuration and writes the manifest file. SaveSegments
-// refuses while document updates are pending, so persisted segments always
-// capture a consistent, fully indexed state.
-func (sx *ShardedIndex) SaveSegments(dir string) (diskio.Manifest, error) {
-	return sx.SaveSegmentsFS(faultfs.OS{}, dir)
-}
-
-// SaveSegmentsFS is SaveSegments over an explicit filesystem (the
-// fault-injection seam). Segment files are written under names no
-// existing file uses (a generation suffix), so even a failure halfway
-// through the final rename pass cannot damage the previous generation:
-// the old manifest keeps referencing the old, untouched files. Call
-// CleanupSegments after the new manifest is durably written to drop the
-// superseded generation.
+// SaveSegmentsFS writes one v2 snapshot per segment into dir on fsys
+// (creating it) and returns the manifest describing them. The caller (the
+// public Miner) attaches its configuration and writes the manifest file.
+// SaveSegmentsFS refuses while document updates are pending, so persisted
+// segments always capture a consistent, fully indexed state.
+//
+// Segment files are written under names no existing file uses (a
+// generation suffix), so even a failure halfway through the final rename
+// pass cannot damage the previous generation: the old manifest keeps
+// referencing the old, untouched files. Call CleanupSegments after the new
+// manifest is durably written to drop the superseded generation.
 func (sx *ShardedIndex) SaveSegmentsFS(fsys faultfs.FS, dir string) (diskio.Manifest, error) {
 	if sx.broken != nil {
 		return diskio.Manifest{}, fmt.Errorf("core: engine is inconsistent after a failed flush (%w); refusing to persist it", sx.broken)
@@ -131,7 +126,7 @@ func (sx *ShardedIndex) SaveSegmentsFS(fsys faultfs.FS, dir string) (diskio.Mani
 		}
 	}
 	// Persist the renames themselves (the directory entries) so the segment
-	// files survive a crash immediately after SaveSegments returns.
+	// files survive a crash immediately after SaveSegmentsFS returns.
 	if err := fsys.SyncDir(dir); err != nil {
 		return diskio.Manifest{}, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"phrasemine/internal/corpus"
+	"phrasemine/internal/diskio/faultfs"
 	"phrasemine/internal/textproc"
 	"phrasemine/internal/topk"
 )
@@ -187,7 +188,7 @@ func TestShardedManifestSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	man, err := sx.SaveSegments(dir)
+	man, err := sx.SaveSegmentsFS(faultfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,16 +64,10 @@ const (
 	postingTagPacked = 1
 )
 
-// AppendBlockPostings appends the block-compressed encoding of a strictly
-// increasing posting list to buf, choosing the codec per block.
-func AppendBlockPostings(buf []byte, list []DocID) ([]byte, error) {
-	out, _, _, err := AppendBlockPostingsCodec(buf, list, bitpack.CodecAuto)
-	return out, err
-}
-
-// AppendBlockPostingsCodec is AppendBlockPostings with an explicit codec
-// policy, reporting how many blocks (and payload bytes) chose the packed
-// representation.
+// AppendBlockPostingsCodec appends the block-compressed encoding of a
+// strictly increasing posting list to buf under the given codec policy
+// (bitpack.CodecAuto chooses per block), reporting how many blocks (and
+// payload bytes) chose the packed representation.
 func AppendBlockPostingsCodec(buf []byte, list []DocID, codec bitpack.Codec) (out []byte, packedBlocks int, packedBytes int64, err error) {
 	if err := codec.Validate(); err != nil {
 		return nil, 0, 0, err
@@ -136,7 +130,7 @@ type BlockPostings struct {
 }
 
 // NewBlockPostings wraps an encoded posting list of count postings in the
-// block format produced by AppendBlockPostings, validating the skip-table
+// block format produced by AppendBlockPostingsCodec, validating the skip-table
 // bounds.
 func NewBlockPostings(data []byte, count int) (BlockPostings, error) {
 	if count < 0 {
@@ -290,13 +284,6 @@ type PostingCursor struct {
 	i    int
 	pos  int
 	err  error
-}
-
-// NewPostingCursor returns a cursor at the start of the list.
-func NewPostingCursor(p BlockPostings) *PostingCursor {
-	c := &PostingCursor{}
-	c.Reset(p)
-	return c
 }
 
 // Reset repoints the cursor at a new list and rewinds it, retaining the

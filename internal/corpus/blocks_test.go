@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"phrasemine/internal/bitpack"
 )
 
 func randomPostings(rng *rand.Rand, n int) []DocID {
@@ -20,7 +22,7 @@ func TestBlockPostingsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, PostingBlockLen, PostingBlockLen + 1, 5*PostingBlockLen + 3} {
 		list := randomPostings(rng, n)
-		data, err := AppendBlockPostings(nil, list)
+		data, _, _, err := AppendBlockPostingsCodec(nil, list, bitpack.CodecAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +48,7 @@ func TestBlockPostingsRoundTrip(t *testing.T) {
 func TestPostingCursorSkipToMatchesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	list := randomPostings(rng, 1200)
-	data, err := AppendBlockPostings(nil, list)
+	data, _, _, err := AppendBlockPostingsCodec(nil, list, bitpack.CodecAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,8 @@ func TestPostingCursorSkipToMatchesLinear(t *testing.T) {
 	}
 	maxDoc := int(list[len(list)-1])
 	for trial := 0; trial < 100; trial++ {
-		c := NewPostingCursor(bp)
+		c := &PostingCursor{}
+		c.Reset(bp)
 		ref := 0 // index of the next unconsumed posting
 		for probe := 0; probe < 10; probe++ {
 			id := DocID(rng.Intn(maxDoc + 50))
@@ -81,7 +84,7 @@ func TestPostingCursorSkipToMatchesLinear(t *testing.T) {
 func TestPostingCursorNext(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	list := randomPostings(rng, 700)
-	data, err := AppendBlockPostings(nil, list)
+	data, _, _, err := AppendBlockPostingsCodec(nil, list, bitpack.CodecAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,8 @@ func TestPostingCursorNext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewPostingCursor(bp)
+	c := &PostingCursor{}
+	c.Reset(bp)
 	for i, want := range list {
 		got, ok := c.Next()
 		if !ok || got != want {

@@ -8,6 +8,7 @@ package corpus
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"phrasemine/internal/diskio"
@@ -31,9 +32,10 @@ type Document struct {
 
 // FacetFeature renders a metadata facet as an indexable feature string.
 // The ':' separator cannot appear in tokenizer output, so facet features
-// can never collide with word features.
+// can never collide with word features. Name and value are lowercased, as
+// query keywords are, so a facet matches whatever case either side wrote.
 func FacetFeature(name, value string) string {
-	return name + ":" + value
+	return strings.ToLower(name) + ":" + strings.ToLower(value)
 }
 
 // Corpus is an append-only collection of documents (the paper's static

@@ -184,28 +184,6 @@ func TestNewQueryDeduplicates(t *testing.T) {
 	}
 }
 
-func TestParseQuery(t *testing.T) {
-	q := ParseQuery("  trade   reserves ", OpOR)
-	if !reflect.DeepEqual(q.Features, []string{"trade", "reserves"}) {
-		t.Fatalf("Features = %v", q.Features)
-	}
-	if q.Op != OpOR {
-		t.Fatalf("Op = %v", q.Op)
-	}
-}
-
-func TestParseOperator(t *testing.T) {
-	for s, want := range map[string]Operator{"and": OpAND, " AND ": OpAND, "Or": OpOR} {
-		got, err := ParseOperator(s)
-		if err != nil || got != want {
-			t.Errorf("ParseOperator(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseOperator("xor"); err == nil {
-		t.Error("ParseOperator(xor) should error")
-	}
-}
-
 func TestOperatorString(t *testing.T) {
 	if OpAND.String() != "AND" || OpOR.String() != "OR" {
 		t.Fatal("Operator.String mismatch")

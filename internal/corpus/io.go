@@ -146,90 +146,6 @@ func DecodeCorpusLazy(data []byte) (*Corpus, error) {
 	return &Corpus{raw: data, rawDocs: int(numDocs)}, nil
 }
 
-// AppendBinary appends the inverted-index encoding to buf. Layout:
-//
-//	numDocs, numFeatures
-//	per feature (sorted): name (len + bytes), count, then count DocIDs
-//	    (first absolute, the rest as gaps to the predecessor — posting
-//	    lists are strictly increasing)
-func (ix *Inverted) AppendBinary(buf []byte) ([]byte, error) {
-	buf = binary.AppendUvarint(buf, uint64(ix.numDocs))
-	buf = binary.AppendUvarint(buf, uint64(ix.VocabSize()))
-	for _, f := range ix.Features() {
-		list, err := ix.Docs(f)
-		if err != nil {
-			return nil, err
-		}
-		buf = appendString(buf, f)
-		buf = binary.AppendUvarint(buf, uint64(len(list)))
-		prev := DocID(0)
-		for i, id := range list {
-			if i == 0 {
-				buf = binary.AppendUvarint(buf, uint64(id))
-			} else {
-				buf = binary.AppendUvarint(buf, uint64(id-prev))
-			}
-			prev = id
-		}
-	}
-	return buf, nil
-}
-
-// DecodeInverted parses an encoding produced by Inverted.AppendBinary.
-func DecodeInverted(data []byte) (*Inverted, error) {
-	d := decoder{data: data}
-	numDocs := d.uvarint()
-	numFeatures := d.uvarint()
-	if d.err != nil {
-		return nil, fmt.Errorf("corpus: decoding inverted header: %w", d.err)
-	}
-	if numFeatures > uint64(len(data)) {
-		return nil, fmt.Errorf("corpus: implausible feature count %d", numFeatures)
-	}
-	ix := &Inverted{
-		postings: make(map[string][]DocID, numFeatures),
-		numDocs:  int(numDocs),
-	}
-	for i := uint64(0); i < numFeatures; i++ {
-		f := d.string()
-		count := d.uvarint()
-		if d.err != nil {
-			return nil, fmt.Errorf("corpus: decoding feature %d: %w", i, d.err)
-		}
-		if count > uint64(len(data)) {
-			return nil, fmt.Errorf("corpus: feature %q: implausible posting count %d", f, count)
-		}
-		list := make([]DocID, count)
-		prev := uint64(0)
-		for j := range list {
-			gap := d.uvarint()
-			if d.err != nil {
-				return nil, fmt.Errorf("corpus: feature %q posting %d: %w", f, j, d.err)
-			}
-			if j == 0 {
-				prev = gap
-			} else {
-				prev += gap
-			}
-			if prev >= numDocs {
-				return nil, fmt.Errorf("corpus: feature %q posting %d: doc %d out of range %d", f, j, prev, numDocs)
-			}
-			list[j] = DocID(prev)
-		}
-		if _, dup := ix.postings[f]; dup {
-			return nil, fmt.Errorf("corpus: duplicate feature %q", f)
-		}
-		ix.postings[f] = list
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(data) {
-		return nil, fmt.Errorf("corpus: %d trailing bytes after postings", len(data)-d.pos)
-	}
-	return ix, nil
-}
-
 // appendString appends a length-prefixed string.
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))

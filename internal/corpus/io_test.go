@@ -62,45 +62,3 @@ func TestDecodeCorpusRejectsGarbage(t *testing.T) {
 		t.Fatal("malformed header accepted")
 	}
 }
-
-func TestInvertedBinaryRoundTrip(t *testing.T) {
-	c := testCorpus()
-	ix := mustInverted(c)
-	data := mustInvertedBytes(ix)
-	got, err := DecodeInverted(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumDocs() != ix.NumDocs() {
-		t.Fatalf("numDocs = %d, want %d", got.NumDocs(), ix.NumDocs())
-	}
-	if !reflect.DeepEqual(got.Features(), ix.Features()) {
-		t.Fatalf("features = %v, want %v", got.Features(), ix.Features())
-	}
-	for _, f := range ix.Features() {
-		if !reflect.DeepEqual(mustDocs(got, f), mustDocs(ix, f)) {
-			t.Fatalf("postings for %q = %v, want %v", f, mustDocs(got, f), mustDocs(ix, f))
-		}
-	}
-	// Deterministic bytes.
-	if !bytes.Equal(data, mustInvertedBytes(ix)) {
-		t.Fatal("inverted encoding is not deterministic")
-	}
-}
-
-func TestDecodeInvertedRejectsGarbage(t *testing.T) {
-	c := testCorpus()
-	ix := mustInverted(c)
-	data := mustInvertedBytes(ix)
-	if _, err := DecodeInverted(data[:len(data)-2]); err == nil {
-		t.Fatal("truncated inverted index accepted")
-	}
-	if _, err := DecodeInverted(append(append([]byte(nil), data...), 0x02)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	// A posting pointing past numDocs must be rejected.
-	bad := mustInvertedBytes(&Inverted{postings: map[string][]DocID{"w": {9}}, numDocs: 3})
-	if _, err := DecodeInverted(bad); err == nil {
-		t.Fatal("out-of-range posting accepted")
-	}
-}

@@ -44,11 +44,3 @@ func mustCorpusBytes(c *Corpus) []byte {
 	}
 	return data
 }
-
-func mustInvertedBytes(ix *Inverted) []byte {
-	data, err := ix.AppendBinary(nil)
-	if err != nil {
-		panic(err)
-	}
-	return data
-}

@@ -31,18 +31,6 @@ func (o Operator) String() string {
 	}
 }
 
-// ParseOperator parses "AND"/"OR" (case-insensitive).
-func ParseOperator(s string) (Operator, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "AND":
-		return OpAND, nil
-	case "OR":
-		return OpOR, nil
-	default:
-		return 0, fmt.Errorf("corpus: unknown operator %q (want AND or OR)", s)
-	}
-}
-
 // Query is the paper's Q = [{q1..qr}, O]: a set of features (keywords or
 // facet features) plus an aggregation operator. It implicitly defines the
 // sub-collection D'.
@@ -68,11 +56,6 @@ func NewQuery(op Operator, features ...string) Query {
 		out = append(out, f)
 	}
 	return Query{Features: out, Op: op}
-}
-
-// ParseQuery splits a whitespace-separated keyword string into a query.
-func ParseQuery(keywords string, op Operator) Query {
-	return NewQuery(op, strings.Fields(keywords)...)
 }
 
 // String renders the query as `a AND b AND c`.

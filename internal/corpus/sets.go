@@ -7,24 +7,11 @@ import "container/heap"
 // cardinality, and a bitmap set for O(1) membership probes. All list inputs
 // and outputs are strictly increasing DocID slices.
 
-// Intersect2 returns the intersection of two sorted lists in a fresh
-// slice. When the lists have very different lengths it gallops through the
-// longer one.
-func Intersect2(a, b []DocID) []DocID {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	return Intersect2Into(make([]DocID, 0, n), a, b)
-}
-
 // Intersect2Into appends the intersection of two sorted lists to dst and
 // returns the extended slice, allocating only when dst lacks capacity. dst
-// must not alias a or b. This is the composable form the k-way wrappers
-// use, so multi-level set algebra produces no per-level garbage.
+// must not alias a or b. When the lists have very different lengths it
+// gallops through the longer one. Appending into caller buffers is what
+// lets multi-level set algebra run without per-level garbage.
 func Intersect2Into(dst, a, b []DocID) []DocID {
 	if len(a) > len(b) {
 		a, b = b, a
@@ -116,16 +103,11 @@ func IntersectCount2(a, b []DocID) int {
 	return n
 }
 
-// Intersect returns the k-way intersection of sorted lists. Lists are
-// intersected smallest-first so intermediate results shrink fast.
-// Intersect of zero lists is defined as the empty list.
-func Intersect(lists ...[]DocID) []DocID {
-	return IntersectInto(nil, lists...)
-}
-
-// IntersectInto is Intersect appending its result to dst (which must not
-// alias any input). Intermediate levels of the k-way reduction ping-pong
-// between dst and one spare buffer instead of allocating per level.
+// IntersectInto appends the k-way intersection of sorted lists to dst
+// (which must not alias any input); zero lists intersect to nothing. Lists
+// are intersected smallest-first so intermediate results shrink fast, and
+// intermediate levels ping-pong between dst and one spare buffer instead
+// of allocating per level.
 func IntersectInto(dst []DocID, lists ...[]DocID) []DocID {
 	switch len(lists) {
 	case 0:
@@ -155,11 +137,6 @@ func IntersectInto(dst []DocID, lists ...[]DocID) []DocID {
 		acc, spare = spare, acc
 	}
 	return append(dst, acc...) // unreachable for >= 3 lists; kept for totality
-}
-
-// Union2 returns the union of two sorted lists in a fresh slice.
-func Union2(a, b []DocID) []DocID {
-	return Union2Into(make([]DocID, 0, len(a)+len(b)), a, b)
 }
 
 // Union2Into appends the union of two sorted lists to dst and returns the
@@ -211,13 +188,9 @@ func (h *listHeap) Pop() any {
 	return nil
 }
 
-// Union returns the k-way union of sorted lists via a heap merge.
-func Union(lists ...[]DocID) []DocID {
-	return UnionInto(nil, lists...)
-}
-
-// UnionInto is Union appending its result to dst (which must not alias any
-// input and must not already end above the smallest merged DocID).
+// UnionInto appends the k-way union of sorted lists, merged through a
+// heap, to dst (which must not alias any input and must not already end
+// above the smallest merged DocID).
 func UnionInto(dst []DocID, lists ...[]DocID) []DocID {
 	switch len(lists) {
 	case 0:

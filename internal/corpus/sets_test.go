@@ -11,17 +11,17 @@ import (
 func ids(xs ...DocID) []DocID { return xs }
 
 func TestIntersect2Basic(t *testing.T) {
-	got := Intersect2(ids(1, 3, 5, 7), ids(3, 4, 5, 8))
+	got := Intersect2Into(nil, ids(1, 3, 5, 7), ids(3, 4, 5, 8))
 	if !reflect.DeepEqual(got, ids(3, 5)) {
 		t.Fatalf("Intersect2 = %v", got)
 	}
 }
 
 func TestIntersect2Empty(t *testing.T) {
-	if got := Intersect2(nil, ids(1, 2)); len(got) != 0 {
-		t.Fatalf("Intersect2(nil, ...) = %v", got)
+	if got := Intersect2Into(nil, nil, ids(1, 2)); len(got) != 0 {
+		t.Fatalf("Intersect2Into(nil, nil, ...) = %v", got)
 	}
-	if got := Intersect2(ids(1, 2), ids(3, 4)); len(got) != 0 {
+	if got := Intersect2Into(nil, ids(1, 2), ids(3, 4)); len(got) != 0 {
 		t.Fatalf("disjoint Intersect2 = %v", got)
 	}
 }
@@ -33,13 +33,13 @@ func TestIntersect2Galloping(t *testing.T) {
 		long[i] = DocID(i * 2) // evens
 	}
 	short := ids(0, 7, 500, 998, 1998, 5000)
-	got := Intersect2(short, long)
+	got := Intersect2Into(nil, short, long)
 	want := ids(0, 500, 998, 1998)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("gallop Intersect2 = %v, want %v", got, want)
 	}
 	// Symmetry.
-	got2 := Intersect2(long, short)
+	got2 := Intersect2Into(nil, long, short)
 	if !reflect.DeepEqual(got2, want) {
 		t.Fatalf("gallop Intersect2 (swapped) = %v, want %v", got2, want)
 	}
@@ -55,43 +55,43 @@ func TestIntersectCount2(t *testing.T) {
 }
 
 func TestKWayIntersect(t *testing.T) {
-	got := Intersect(ids(1, 2, 3, 4, 9), ids(2, 3, 9), ids(0, 2, 9))
+	got := IntersectInto(nil, ids(1, 2, 3, 4, 9), ids(2, 3, 9), ids(0, 2, 9))
 	if !reflect.DeepEqual(got, ids(2, 9)) {
 		t.Fatalf("Intersect = %v", got)
 	}
-	if got := Intersect(); got != nil {
-		t.Fatalf("Intersect() = %v, want nil", got)
+	if got := IntersectInto(nil); got != nil {
+		t.Fatalf("IntersectInto(nil) = %v, want nil", got)
 	}
-	one := Intersect(ids(5, 6))
+	one := IntersectInto(nil, ids(5, 6))
 	if !reflect.DeepEqual(one, ids(5, 6)) {
-		t.Fatalf("Intersect(single) = %v", one)
+		t.Fatalf("IntersectInto(nil, single) = %v", one)
 	}
 }
 
 func TestKWayIntersectShortCircuit(t *testing.T) {
-	got := Intersect(ids(1), ids(2), ids(1, 2, 3))
+	got := IntersectInto(nil, ids(1), ids(2), ids(1, 2, 3))
 	if len(got) != 0 {
 		t.Fatalf("Intersect = %v, want empty", got)
 	}
 }
 
 func TestUnion2(t *testing.T) {
-	got := Union2(ids(1, 3, 5), ids(2, 3, 6))
+	got := Union2Into(nil, ids(1, 3, 5), ids(2, 3, 6))
 	if !reflect.DeepEqual(got, ids(1, 2, 3, 5, 6)) {
 		t.Fatalf("Union2 = %v", got)
 	}
-	if got := Union2(nil, nil); len(got) != 0 {
-		t.Fatalf("Union2(nil,nil) = %v", got)
+	if got := Union2Into(nil, nil, nil); len(got) != 0 {
+		t.Fatalf("Union2Into(nil, nil,nil) = %v", got)
 	}
 }
 
 func TestKWayUnion(t *testing.T) {
-	got := Union(ids(1, 4), ids(2, 4, 8), ids(0, 8), nil)
+	got := UnionInto(nil, ids(1, 4), ids(2, 4, 8), ids(0, 8), nil)
 	if !reflect.DeepEqual(got, ids(0, 1, 2, 4, 8)) {
 		t.Fatalf("Union = %v", got)
 	}
-	if got := Union(); got != nil {
-		t.Fatalf("Union() = %v", got)
+	if got := UnionInto(nil); got != nil {
+		t.Fatalf("UnionInto(nil) = %v", got)
 	}
 }
 
@@ -138,10 +138,10 @@ func TestKWayIntoMatchesKWay(t *testing.T) {
 			lists[i] = randomSortedList(rng, 30, 50)
 		}
 		buf := make([]DocID, 0, 4)
-		if got, want := IntersectInto(buf, lists...), Intersect(lists...); !reflect.DeepEqual(setOf(got), setOf(want)) {
+		if got, want := IntersectInto(buf, lists...), IntersectInto(nil, lists...); !reflect.DeepEqual(setOf(got), setOf(want)) {
 			t.Fatalf("trial %d: IntersectInto = %v, want %v", trial, got, want)
 		}
-		if got, want := UnionInto(buf[:0], lists...), Union(lists...); !reflect.DeepEqual(setOf(got), setOf(want)) {
+		if got, want := UnionInto(buf[:0], lists...), UnionInto(nil, lists...); !reflect.DeepEqual(setOf(got), setOf(want)) {
 			t.Fatalf("trial %d: UnionInto = %v, want %v", trial, got, want)
 		}
 	}
@@ -234,8 +234,8 @@ func TestSetAlgebraMatchesReference(t *testing.T) {
 			}
 		}
 
-		gotInter := Intersect(lists...)
-		gotUnion := Union(lists...)
+		gotInter := IntersectInto(nil, lists...)
+		gotUnion := UnionInto(nil, lists...)
 
 		if !reflect.DeepEqual(setOf(gotInter), wantInter) && !(len(gotInter) == 0 && len(wantInter) == 0) {
 			t.Fatalf("trial %d: Intersect mismatch: got %v", trial, gotInter)
@@ -262,7 +262,7 @@ func TestIntersectCountProperty(t *testing.T) {
 	f := func(seedA, seedB uint16) bool {
 		a := randomSortedList(rng, 50, 80)
 		b := randomSortedList(rng, 50, 80)
-		return IntersectCount2(a, b) == len(Intersect2(a, b))
+		return IntersectCount2(a, b) == len(Intersect2Into(nil, a, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

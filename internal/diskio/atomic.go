@@ -31,18 +31,13 @@ func Corruptf(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, ErrCorruptSnapshot)...)
 }
 
-// WriteFileAtomic writes data to path so that a crash (including kill -9)
-// at any point leaves either the previous file or the complete new one,
-// never a partial write: the data goes to a temporary file in the same
-// directory, is fsynced, renamed over path, and the directory is fsynced
-// so the rename itself is durable.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	return WriteFileAtomicFS(faultfs.OS{}, path, data, perm)
-}
-
-// WriteFileAtomicFS is WriteFileAtomic over an explicit filesystem, the
-// seam fault-injection tests use to prove the previous file survives any
-// failed or crashed write.
+// WriteFileAtomicFS writes data to path on fsys so that a crash (including
+// kill -9) at any point leaves either the previous file or the complete
+// new one, never a partial write: the data goes to a temporary file in the
+// same directory, is fsynced, renamed over path, and the directory is
+// fsynced so the rename itself is durable. Production passes faultfs.OS;
+// fault-injection tests pass a faulty filesystem to prove the previous
+// file survives any failed or crashed write.
 func WriteFileAtomicFS(fsys faultfs.FS, path string, data []byte, perm os.FileMode) error {
 	return writeAtomic(fsys, path, perm, func(f io.Writer) error {
 		_, err := f.Write(data)
@@ -50,9 +45,9 @@ func WriteFileAtomicFS(fsys faultfs.FS, path string, data []byte, perm os.FileMo
 	})
 }
 
-// WriteToFileAtomic is WriteFileAtomic for producers that stream through
-// an io.Writer (snapshot writers, encoders) instead of materializing one
-// []byte.
+// WriteToFileAtomic is WriteFileAtomicFS on the OS filesystem for
+// producers that stream through an io.Writer (snapshot writers, encoders)
+// instead of materializing one []byte.
 func WriteToFileAtomic(path string, perm os.FileMode, write func(w io.Writer) error) error {
 	return writeAtomic(faultfs.OS{}, path, perm, write)
 }
@@ -93,15 +88,4 @@ func writeAtomic(fsys faultfs.FS, path string, perm os.FileMode, write func(w io
 		return err
 	}
 	return fsys.SyncDir(dir)
-}
-
-// SyncDir fsyncs a directory so previously renamed entries survive a
-// crash. Some platforms (and some filesystems) reject fsync on
-// directories; those errors are ignored — the rename is still atomic,
-// only its durability ordering is best-effort there.
-func SyncDir(dir string) error {
-	if err := (faultfs.OS{}).SyncDir(dir); err != nil {
-		return fmt.Errorf("diskio: syncing directory %s: %w", dir, err)
-	}
-	return nil
 }

@@ -7,18 +7,20 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"phrasemine/internal/diskio/faultfs"
 )
 
 func TestWriteFileAtomicReplacesAndCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.bin")
-	if err := WriteFileAtomic(path, []byte("first"), 0o644); err != nil {
+	if err := WriteFileAtomicFS(faultfs.OS{}, path, []byte("first"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(path); string(got) != "first" {
 		t.Fatalf("content = %q", got)
 	}
-	if err := WriteFileAtomic(path, []byte("second"), 0o644); err != nil {
+	if err := WriteFileAtomicFS(faultfs.OS{}, path, []byte("second"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := os.ReadFile(path); string(got) != "second" {
@@ -36,7 +38,7 @@ func TestWriteFileAtomicReplacesAndCleansUp(t *testing.T) {
 func TestWriteToFileAtomicKeepsOldOnError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.bin")
-	if err := WriteFileAtomic(path, []byte("survivor"), 0o644); err != nil {
+	if err := WriteFileAtomicFS(faultfs.OS{}, path, []byte("survivor"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("mid-write failure")

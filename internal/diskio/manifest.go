@@ -79,15 +79,9 @@ func (m Manifest) Validate() error {
 	return nil
 }
 
-// WriteManifest writes the manifest as indented JSON at path, via a
-// temporary file, fsync and rename so a crash mid-write (even kill -9)
-// never leaves a truncated manifest over a previously good one.
-func WriteManifest(path string, m Manifest) error {
-	return WriteManifestFS(faultfs.OS{}, path, m)
-}
-
-// WriteManifestFS is WriteManifest over an explicit filesystem (the
-// fault-injection seam).
+// WriteManifestFS writes the manifest as indented JSON at path on fsys,
+// via a temporary file, fsync and rename so a crash mid-write (even kill
+// -9) never leaves a truncated manifest over a previously good one.
 func WriteManifestFS(fsys faultfs.FS, path string, m Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err

@@ -4,10 +4,6 @@
 // phrases are zero-padded, and the phrase with ID i lives in the byte range
 // [i*Width, (i+1)*Width) — the paper states the same arithmetic 1-based;
 // IDs here are 0-based as is idiomatic in Go.
-//
-// The dictionary has an in-memory form (Dict) and a file-resident form
-// (FileDict) that resolves IDs through an io.ReaderAt using the same offset
-// calculation, as a disk-based query system would at result-rendering time.
 package phrasedict
 
 import (
@@ -244,50 +240,4 @@ func ReadFrom(r io.Reader) (*Dict, error) {
 		d.byPhrase[p] = PhraseID(i)
 	}
 	return d, nil
-}
-
-// FileDict resolves phrase IDs against a serialized dictionary through an
-// io.ReaderAt without loading the records into memory — the disk-resident
-// access path of the paper's Figure 1 ("to find the phrase with ID = i,
-// check the stretch of bytes at offset (i-1)*s+1 .. i*s").
-type FileDict struct {
-	r     io.ReaderAt
-	width int
-	n     int
-}
-
-// OpenFileDict validates the header of a serialized dictionary and returns
-// a lazy reader over it.
-func OpenFileDict(r io.ReaderAt) (*FileDict, error) {
-	var hdr [headerSize]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("phrasedict: reading header: %w", err)
-	}
-	if !bytes.Equal(hdr[:8], magic[:]) {
-		return nil, fmt.Errorf("phrasedict: bad magic %q", hdr[:8])
-	}
-	return &FileDict{
-		r:     r,
-		width: int(binary.LittleEndian.Uint32(hdr[8:12])),
-		n:     int(binary.LittleEndian.Uint32(hdr[12:16])),
-	}, nil
-}
-
-// Len reports the number of phrases.
-func (f *FileDict) Len() int { return f.n }
-
-// Width reports the record width.
-func (f *FileDict) Width() int { return f.width }
-
-// Phrase reads the record of id from the underlying file.
-func (f *FileDict) Phrase(id PhraseID) (string, error) {
-	if int(id) >= f.n {
-		return "", fmt.Errorf("phrasedict: id %d out of range [0,%d)", id, f.n)
-	}
-	rec := make([]byte, f.width)
-	off := int64(headerSize) + int64(id)*int64(f.width)
-	if _, err := f.r.ReadAt(rec, off); err != nil {
-		return "", fmt.Errorf("phrasedict: reading record %d: %w", id, err)
-	}
-	return string(trimPadding(rec)), nil
 }

@@ -139,37 +139,6 @@ func TestReadFromRejectsTruncated(t *testing.T) {
 	}
 }
 
-func TestFileDict(t *testing.T) {
-	phrases := []string{"protein expression", "binding protein hfq", "rna"}
-	d, err := Build(phrases, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fd, err := OpenFileDict(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fd.Len() != 3 || fd.Width() != DefaultWidth {
-		t.Fatalf("FileDict shape = %d x %d", fd.Len(), fd.Width())
-	}
-	for i, p := range phrases {
-		got, err := fd.Phrase(PhraseID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != p {
-			t.Fatalf("FileDict.Phrase(%d) = %q, want %q", i, got, p)
-		}
-	}
-	if _, err := fd.Phrase(99); err == nil {
-		t.Fatal("FileDict.Phrase out of range should error")
-	}
-}
-
 // Property: for arbitrary unique printable phrase sets, build+serialize+
 // reload preserves all ID<->phrase mappings.
 func TestRoundTripProperty(t *testing.T) {

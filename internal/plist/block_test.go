@@ -256,13 +256,13 @@ func TestBlockSetRoundTrip(t *testing.T) {
 		"gamma": randomScoreList(rng, 2*BlockLen),
 		"empty": {},
 	}
-	bs, err := BuildBlockSet(lists)
+	bs, err := BuildBlockSetCodec(lists, CodecAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := bs.AppendTo(nil)
 	// Determinism: rebuilding and re-serializing yields identical bytes.
-	bs2, err := BuildBlockSet(lists)
+	bs2, err := BuildBlockSetCodec(lists, CodecAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestBlockSetRoundTrip(t *testing.T) {
 
 func TestOpenBlockSetRejectsOverflowingExtent(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	bs, err := BuildBlockSet(map[string]ScoreList{"w": randomScoreList(rng, 10)})
+	bs, err := BuildBlockSetCodec(map[string]ScoreList{"w": randomScoreList(rng, 10)}, CodecAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestBlockCompressionRatio(t *testing.T) {
 	for _, w := range []string{"a", "b", "c", "d"} {
 		lists[w] = randomScoreList(rng, 5000)
 	}
-	bs, err := BuildBlockSet(lists)
+	bs, err := BuildBlockSetCodec(lists, CodecAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

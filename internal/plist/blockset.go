@@ -55,19 +55,14 @@ type BlockSet struct {
 	packed  PackedStats
 }
 
-// BuildBlockSet compresses score-ordered lists into a BlockSet, choosing
-// the codec per block.
-func BuildBlockSet(lists map[string]ScoreList) (*BlockSet, error) {
-	return buildBlockSet(OrderScore, toEntryMap(lists), CodecAuto)
-}
-
 // BuildIDBlockSet compresses ID-ordered lists into a BlockSet, choosing
 // the codec per block.
 func BuildIDBlockSet(lists map[string]IDList) (*BlockSet, error) {
 	return buildBlockSet(OrderID, toEntryMap(lists), CodecAuto)
 }
 
-// BuildBlockSetCodec is BuildBlockSet with an explicit codec policy.
+// BuildBlockSetCodec compresses score-ordered lists into a BlockSet under
+// the given codec policy (CodecAuto chooses the codec per block).
 func BuildBlockSetCodec(lists map[string]ScoreList, codec BlockCodec) (*BlockSet, error) {
 	return buildBlockSet(OrderScore, toEntryMap(lists), codec)
 }
@@ -297,4 +292,13 @@ func (bs *BlockSet) DecodeAllScoreLists() (map[string]ScoreList, error) {
 		out[w] = l
 	}
 	return out, nil
+}
+
+// toEntryMap views a map of typed lists as plain entry slices.
+func toEntryMap[L ~[]Entry](lists map[string]L) map[string][]Entry {
+	out := make(map[string][]Entry, len(lists))
+	for k, v := range lists {
+		out[k] = v
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package plist
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -48,52 +47,6 @@ func (s *Source) Validate() error {
 	return nil
 }
 
-// BuildScoreList constructs the score-ordered list for one feature:
-// entries [p, P(q|p)] for every phrase p co-occurring with q, with
-// P(q|p) = |docs(q) ∩ docs(p)| / |docs(p)| (Eq. 13). Phrases with zero
-// probability are omitted, as the paper prescribes.
-//
-// The construction iterates the feature's document list and counts phrase
-// occurrences through the forward lists, so its cost is
-// Σ_{d ∈ docs(q)} |Forward[d]| — independent of |P| and of vocabulary size.
-func BuildScoreList(src *Source, feature string) (ScoreList, error) {
-	docs, err := src.Inverted.Docs(feature)
-	if err != nil {
-		return nil, err
-	}
-	counts := make(map[phrasedict.PhraseID]uint32)
-	for _, doc := range docs {
-		for _, p := range src.Forward[doc] {
-			counts[p]++
-		}
-	}
-	if len(counts) == 0 {
-		return nil, nil
-	}
-	out := make(ScoreList, 0, len(counts))
-	for p, co := range counts {
-		df := src.PhraseDocFreq[p]
-		if df == 0 {
-			continue
-		}
-		out = append(out, Entry{Phrase: p, Prob: float64(co) / float64(df)})
-	}
-	SortScoreOrder(out)
-	return out, nil
-}
-
-// BuildLists constructs score-ordered lists for the given features. When
-// features is nil, lists are built for the full vocabulary (every indexed
-// feature), which is what a deployed system would persist; experiments
-// usually restrict to the query workload's features.
-//
-// A shared counting array (sized |P|) is reused across features, so the
-// amortized cost per feature is Σ_{d ∈ docs(q)} |Forward[d]| plus the
-// output size.
-func BuildLists(src *Source, features []string) (map[string]ScoreList, error) {
-	return BuildListsParallel(src, features, 1)
-}
-
 // buildOne constructs one feature's score-ordered list using the caller's
 // counting scratch (counts must be all-zero, sized |P|; it is returned
 // all-zero). touched is recycled storage for the phrase IDs seen.
@@ -126,12 +79,22 @@ func buildOne(src *Source, feature string, counts []uint32, touched []phrasedict
 	return list, touched, nil
 }
 
-// BuildListsParallel is BuildLists with the per-feature builds fanned out
-// across workers. Each worker owns a private counting array, and features
-// are handed out individually (list-building cost is dominated by a few
-// very frequent words, so feature-granular work stealing balances far
-// better than static chunks). Every feature's list is built independently,
-// so the output is identical to the sequential build.
+// BuildListsParallel constructs the score-ordered list of every given
+// feature: entries [p, P(q|p)] for every phrase p co-occurring with q,
+// with P(q|p) = |docs(q) ∩ docs(p)| / |docs(p)| (Eq. 13), zero-probability
+// phrases omitted as the paper prescribes. When features is nil, lists are
+// built for the full vocabulary (every indexed feature), which is what a
+// deployed system would persist; experiments usually restrict to the
+// query workload's features.
+//
+// One feature's list costs Σ_{d ∈ docs(q)} |Forward[d]| plus its output
+// size — independent of |P| and of vocabulary size — through a counting
+// array (sized |P|) reused across features. The builds fan out across
+// workers (1 builds sequentially), each owning a private counting array;
+// features are handed out individually (list-building cost is dominated
+// by a few very frequent words, so feature-granular work stealing
+// balances far better than static chunks). Every feature's list is built
+// independently, so the output is identical at every worker count.
 func BuildListsParallel(src *Source, features []string, workers int) (map[string]ScoreList, error) {
 	if err := src.Validate(); err != nil {
 		return nil, err
@@ -209,16 +172,12 @@ func TruncateAll(lists map[string]ScoreList, frac float64) map[string]ScoreList 
 	return out
 }
 
-// ToIDOrderedAll converts a (possibly truncated) score-list collection into
-// ID-ordered lists for SMJ.
-func ToIDOrderedAll(lists map[string]ScoreList) map[string]IDList {
-	return ToIDOrderedAllParallel(lists, 1)
-}
-
-// ToIDOrderedAllParallel is ToIDOrderedAll with the per-feature copy+sort
+// ToIDOrderedAllParallel converts a (possibly truncated) score-list
+// collection into ID-ordered lists for SMJ, with the per-feature copy+sort
 // fanned out across workers (the dominant cost of materializing an SMJ
-// index over a full vocabulary). Per-feature conversions are independent,
-// so the result is identical to the sequential conversion.
+// index over a full vocabulary; 1 converts sequentially). Per-feature
+// conversions are independent, so the result is identical at every worker
+// count.
 func ToIDOrderedAllParallel(lists map[string]ScoreList, workers int) map[string]IDList {
 	if workers <= 1 || len(lists) <= 1 {
 		out := make(map[string]IDList, len(lists))
@@ -250,15 +209,4 @@ func AverageListLen(lists map[string]ScoreList) float64 {
 		return 0
 	}
 	return float64(TotalEntries(lists)) / float64(len(lists))
-}
-
-// SortedFeatures returns the collection's features in sorted order, for
-// deterministic serialization and iteration.
-func SortedFeatures[L ~[]Entry](lists map[string]L) []string {
-	out := make([]string, 0, len(lists))
-	for w := range lists {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -50,11 +50,11 @@ func buildTinySource(t *testing.T) *Source {
 // errors (impossible on these heap-resident fixtures).
 func mustScoreList(t *testing.T, src *Source, word string) ScoreList {
 	t.Helper()
-	l, err := BuildScoreList(src, word)
+	lists, err := BuildListsParallel(src, []string{word}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l
+	return lists[word]
 }
 
 func TestBuildScoreListProbabilities(t *testing.T) {
@@ -68,7 +68,7 @@ func TestBuildScoreListProbabilities(t *testing.T) {
 	}
 	want := ScoreList{entry(1, 1.0), entry(0, 2.0/3.0)}
 	if !reflect.DeepEqual(l, want) {
-		t.Fatalf("BuildScoreList(trade) = %v, want %v", l, want)
+		t.Fatalf("list(trade) = %v, want %v", l, want)
 	}
 }
 
@@ -78,35 +78,61 @@ func TestBuildScoreListOmitsZeroProb(t *testing.T) {
 	// Only phrase 2 co-occurs with "query": P = 2/2 = 1.
 	want := ScoreList{entry(2, 1.0)}
 	if !reflect.DeepEqual(l, want) {
-		t.Fatalf("BuildScoreList(query) = %v, want %v", l, want)
+		t.Fatalf("list(query) = %v, want %v", l, want)
 	}
 }
 
 func TestBuildScoreListUnknownWord(t *testing.T) {
 	src := buildTinySource(t)
 	if l := mustScoreList(t, src, "absent"); l != nil {
-		t.Fatalf("BuildScoreList(absent) = %v, want nil", l)
+		t.Fatalf("list(absent) = %v, want nil", l)
 	}
+}
+
+// referenceScoreList is the map-based oracle for one feature's list: count
+// co-occurrences through the forward lists into a map, divide, sort.
+func referenceScoreList(t *testing.T, src *Source, feature string) ScoreList {
+	t.Helper()
+	docs, err := src.Inverted.Docs(feature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make(map[phrasedict.PhraseID]uint32)
+	for _, doc := range docs {
+		for _, p := range src.Forward[doc] {
+			counts[p]++
+		}
+	}
+	var out ScoreList
+	for p, co := range counts {
+		if df := src.PhraseDocFreq[p]; df > 0 {
+			out = append(out, Entry{Phrase: p, Prob: float64(co) / float64(df)})
+		}
+	}
+	SortScoreOrder(out)
+	return out
 }
 
 func TestBuildListsMatchesSingle(t *testing.T) {
 	src := buildTinySource(t)
-	words := []string{"trade", "reserves", "minister", "query"}
-	all, err := BuildLists(src, words)
+	words := []string{"trade", "reserves", "minister", "query", "absent"}
+	all, err := BuildListsParallel(src, words, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range words {
-		single := mustScoreList(t, src, w)
-		if !reflect.DeepEqual(all[w], single) {
-			t.Fatalf("BuildLists[%s] = %v, single = %v", w, all[w], single)
+		if want := referenceScoreList(t, src, w); !reflect.DeepEqual(all[w], want) {
+			t.Fatalf("batch[%s] = %v, reference = %v", w, all[w], want)
+		}
+		if single := mustScoreList(t, src, w); !reflect.DeepEqual(all[w], single) {
+			t.Fatalf("batch[%s] = %v, single = %v", w, all[w], single)
 		}
 	}
 }
 
 func TestBuildListsFullVocabulary(t *testing.T) {
 	src := buildTinySource(t)
-	all, err := BuildLists(src, nil)
+	all, err := BuildListsParallel(src, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +148,7 @@ func TestBuildListsFullVocabulary(t *testing.T) {
 
 func TestBuildListsDuplicateWords(t *testing.T) {
 	src := buildTinySource(t)
-	all, err := BuildLists(src, []string{"trade", "trade"})
+	all, err := BuildListsParallel(src, []string{"trade", "trade"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +159,7 @@ func TestBuildListsDuplicateWords(t *testing.T) {
 
 func TestBuildListsProbabilityInvariants(t *testing.T) {
 	src := buildTinySource(t)
-	all, err := BuildLists(src, nil)
+	all, err := BuildListsParallel(src, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +218,7 @@ func TestSourceValidate(t *testing.T) {
 
 func TestTruncateAllAndIDOrderAll(t *testing.T) {
 	src := buildTinySource(t)
-	all, err := BuildLists(src, nil)
+	all, err := BuildListsParallel(src, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +231,7 @@ func TestTruncateAllAndIDOrderAll(t *testing.T) {
 			}
 		}
 	}
-	idls := ToIDOrderedAll(half)
+	idls := ToIDOrderedAllParallel(half, 1)
 	for w, l := range idls {
 		if err := l.Validate(); err != nil {
 			t.Fatalf("ID list %q invalid: %v", w, err)

@@ -10,18 +10,12 @@
 // phrases are omitted, and partial lists are built by truncating the
 // score-ordered list to a top fraction, optionally re-ordered by ID.
 //
-// The package also defines the binary entry codec and a serialized index
-// file holding many lists behind a word directory, readable through any
-// io.ReaderAt — in particular the simulated disk of internal/diskio.
+// Lists are held either as raw entry slices or block-compressed
+// (BlockList, BlockSet), and consumed through the Cursor interface by the
+// top-k algorithms.
 package plist
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
-	"phrasemine/internal/phrasedict"
-)
+import "phrasemine/internal/phrasedict"
 
 // Entry is one [phraseid, prob] pair of a word-specific list.
 type Entry struct {
@@ -29,44 +23,8 @@ type Entry struct {
 	Prob   float64
 }
 
-// EntrySize is the on-disk entry footprint in bytes: a uint32 phrase ID plus
-// a float64 probability. The paper counts ceil(log2|P|)+64 bits per pair and
-// its index-size analysis assumes the same "12 bytes per entry (4 for phrase
-// ID and 8 for storing the probability value)".
+// EntrySize is the uncompressed entry footprint in bytes the paper's
+// index-size analysis (Table 5) counts: a uint32 phrase ID plus a float64
+// probability, "12 bytes per entry (4 for phrase ID and 8 for storing the
+// probability value)".
 const EntrySize = 12
-
-// EncodeEntry writes e into buf (which must be at least EntrySize bytes)
-// in little-endian layout.
-func EncodeEntry(buf []byte, e Entry) {
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(e.Phrase))
-	binary.LittleEndian.PutUint64(buf[4:12], math.Float64bits(e.Prob))
-}
-
-// DecodeEntry reads an entry previously written by EncodeEntry.
-func DecodeEntry(buf []byte) Entry {
-	return Entry{
-		Phrase: phrasedict.PhraseID(binary.LittleEndian.Uint32(buf[0:4])),
-		Prob:   math.Float64frombits(binary.LittleEndian.Uint64(buf[4:12])),
-	}
-}
-
-// EncodeEntries serializes a full entry slice.
-func EncodeEntries(entries []Entry) []byte {
-	out := make([]byte, len(entries)*EntrySize)
-	for i, e := range entries {
-		EncodeEntry(out[i*EntrySize:], e)
-	}
-	return out
-}
-
-// DecodeEntries parses a byte slice of concatenated entries.
-func DecodeEntries(data []byte) ([]Entry, error) {
-	if len(data)%EntrySize != 0 {
-		return nil, fmt.Errorf("plist: data length %d is not a multiple of entry size %d", len(data), EntrySize)
-	}
-	out := make([]Entry, len(data)/EntrySize)
-	for i := range out {
-		out[i] = DecodeEntry(data[i*EntrySize:])
-	}
-	return out, nil
-}

@@ -4,67 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"phrasemine/internal/phrasedict"
 )
 
 func entry(id uint32, prob float64) Entry {
 	return Entry{Phrase: phrasedict.PhraseID(id), Prob: prob}
-}
-
-func TestEntryCodecRoundTrip(t *testing.T) {
-	cases := []Entry{
-		entry(0, 1.0),
-		entry(1134, 0.26),
-		entry(4294967295, 1e-12),
-		entry(7, 0.3333333333333333),
-	}
-	var buf [EntrySize]byte
-	for _, e := range cases {
-		EncodeEntry(buf[:], e)
-		got := DecodeEntry(buf[:])
-		if got != e {
-			t.Fatalf("round trip %v -> %v", e, got)
-		}
-	}
-}
-
-func TestEntriesCodec(t *testing.T) {
-	in := []Entry{entry(1, 0.5), entry(2, 0.25), entry(9, 0.125)}
-	data := EncodeEntries(in)
-	if len(data) != 3*EntrySize {
-		t.Fatalf("encoded size = %d", len(data))
-	}
-	out, err := DecodeEntries(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip %v -> %v", in, out)
-	}
-	if _, err := DecodeEntries(data[:5]); err == nil {
-		t.Fatal("DecodeEntries should reject ragged input")
-	}
-}
-
-func TestEntryCodecProperty(t *testing.T) {
-	f := func(id uint32, probBits uint64) bool {
-		prob := math.Float64frombits(probBits)
-		e := Entry{Phrase: phrasedict.PhraseID(id), Prob: prob}
-		var buf [EntrySize]byte
-		EncodeEntry(buf[:], e)
-		got := DecodeEntry(buf[:])
-		if math.IsNaN(prob) {
-			return got.Phrase == e.Phrase && math.IsNaN(got.Prob)
-		}
-		return got == e
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestScoreListValidate(t *testing.T) {
@@ -217,13 +163,5 @@ func TestTotalEntriesAndAverage(t *testing.T) {
 	}
 	if got := AverageListLen(map[string]ScoreList{}); got != 0 {
 		t.Fatalf("AverageListLen(empty) = %v", got)
-	}
-}
-
-func TestSortedFeatures(t *testing.T) {
-	lists := map[string]ScoreList{"zeta": nil, "alpha": nil, "mid": nil}
-	got := SortedFeatures(lists)
-	if !sort.StringsAreSorted(got) || len(got) != 3 {
-		t.Fatalf("SortedFeatures = %v", got)
 	}
 }

@@ -40,13 +40,9 @@ type CountMin struct {
 	conservative bool
 }
 
-// New creates a plain count-min sketch with the given dimensions.
-func New(width, depth int) (*CountMin, error) {
-	return newSketch(width, depth, false)
-}
-
-// NewConservative creates a conservative-update count-min sketch: same
-// guarantees as New, tighter estimates under skewed streams.
+// NewConservative creates a conservative-update count-min sketch: the
+// never-undercount and ε·N guarantees of the plain sketch, with tighter
+// estimates under skewed streams.
 func NewConservative(width, depth int) (*CountMin, error) {
 	return newSketch(width, depth, true)
 }

@@ -9,8 +9,8 @@ import (
 
 func TestNewRejectsBadDimensions(t *testing.T) {
 	for _, tc := range []struct{ w, d int }{{0, 4}, {-1, 4}, {16, 0}, {16, -2}} {
-		if _, err := New(tc.w, tc.d); err == nil {
-			t.Errorf("New(%d, %d): want error", tc.w, tc.d)
+		if _, err := newSketch(tc.w, tc.d, false); err == nil {
+			t.Errorf("newSketch(%d, %d, false): want error", tc.w, tc.d)
 		}
 		if _, err := NewConservative(tc.w, tc.d); err == nil {
 			t.Errorf("NewConservative(%d, %d): want error", tc.w, tc.d)
@@ -82,7 +82,7 @@ func TestNeverUndercounts(t *testing.T) {
 // TestConservativeNoLooser pins the point of the conservative variant:
 // on the same stream its estimates are never above the plain sketch's.
 func TestConservativeNoLooser(t *testing.T) {
-	plain, _ := New(64, 4)
+	plain, _ := newSketch(64, 4, false)
 	cons, _ := NewConservative(64, 4)
 	rng := rand.New(rand.NewSource(11))
 	keys := make(map[string]bool)

@@ -97,7 +97,7 @@ func TestSMJCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	lists := randomLists(rand.New(rand.NewSource(3)), 2, 200, 50)
-	res, _, err := SMJ(idCursorsOf(lists...), SMJOptions{K: 5, Op: corpus.OpOR, Ctx: ctx})
+	res, _, err := runSMJ(idCursorsOf(lists...), SMJOptions{K: 5, Op: corpus.OpOR, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -114,7 +114,7 @@ func TestSMJCancelMidRun(t *testing.T) {
 	defer cancel()
 	cursors, reads := wrapCanceling(
 		[]plist.Cursor{plist.NewMemCursor(l1), plist.NewMemCursor(l2)}, cancel, cancelAt)
-	res, _, err := SMJ(cursors, SMJOptions{K: 10, Op: corpus.OpOR, Ctx: ctx})
+	res, _, err := runSMJ(cursors, SMJOptions{K: 10, Op: corpus.OpOR, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -188,11 +188,11 @@ func TestCtxBackgroundUnchanged(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d op %v: NRA with ctx diverged", trial, op)
 			}
-			swant, _, err := SMJ(idCursorsOf(lists...), SMJOptions{K: 10, Op: op})
+			swant, _, err := runSMJ(idCursorsOf(lists...), SMJOptions{K: 10, Op: op})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sgot, _, err := SMJ(idCursorsOf(lists...), SMJOptions{K: 10, Op: op, Ctx: context.Background()})
+			sgot, _, err := runSMJ(idCursorsOf(lists...), SMJOptions{K: 10, Op: op, Ctx: context.Background()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,13 +7,13 @@ import "context"
 // instead of running to completion. The stride keeps the check off the
 // per-entry hot path while still stopping a canceled query within
 // microseconds-to-a-millisecond at typical per-entry costs: NRA piggybacks
-// on its maintenance batch (opt.BatchSize entry reads), SMJ and ScanGroups
+// on its maintenance batch (opt.BatchSize entry reads), SMJ and ScanGroupsCtx
 // count merge pops against cancelCheckInterval. A run never returns a
 // partially computed answer — cancellation yields (nil, stats, ctx.Err()),
 // so callers either get the full result or an error.
 
 // cancelCheckInterval is the cancellation-test stride of the merge loops
-// (SMJ, ScanGroups): one context check per this many consumed entries,
+// (SMJ, ScanGroupsCtx): one context check per this many consumed entries,
 // matching NRA's default maintenance batch.
 const cancelCheckInterval = DefaultBatchSize
 

@@ -94,7 +94,7 @@ func TestSMJPropagatesCursorError(t *testing.T) {
 		return []plist.Cursor{plist.NewMemCursor(good), bad}
 	}
 	for _, failAt := range []int{0, 1, 2} {
-		_, _, err := SMJ(idLists(failAt), SMJOptions{K: 3, Op: corpus.OpOR})
+		_, _, err := runSMJ(idLists(failAt), SMJOptions{K: 3, Op: corpus.OpOR})
 		if !errors.Is(err, errInjected) {
 			t.Fatalf("failAt=%d: want injected error, got %v", failAt, err)
 		}

@@ -381,19 +381,16 @@ func (m *partialMerger) next() (id phrasedict.PhraseID, part int, pos int32, ok 
 // error reports the first structural violation encountered, if any.
 func (m *partialMerger) error() error { return m.err }
 
-// ScanGroups merges phrase-ID-ordered list cursors (one per query feature)
-// with the pooled loser tree and invokes emit once per distinct phrase ID,
-// passing the per-list probabilities (probs[i] is valid iff bit i of seen
-// is set) in a reused buffer the callback must not retain. It is the
-// scatter half of the sharded engine: a segment scans its own ID-ordered
-// lists and converts each group's probabilities back to integer counts.
-// Equivalent to ScanGroupsCtx with a nil context.
-func ScanGroups(cursors []plist.Cursor, s *Scratch, emit func(id phrasedict.PhraseID, probs []float64, seen uint64)) error {
-	return ScanGroupsCtx(nil, cursors, s, emit)
-}
-
-// ScanGroupsCtx is ScanGroups with cooperative cancellation: the merge
-// loop tests ctx once per cancelCheckInterval consumed entries and returns
+// ScanGroupsCtx merges phrase-ID-ordered list cursors (one per query
+// feature) with the pooled loser tree and invokes emit once per distinct
+// phrase ID, passing the per-list probabilities (probs[i] is valid iff bit
+// i of seen is set) in a reused buffer the callback must not retain. It is
+// the scatter half of the sharded engine: a segment scans its own
+// ID-ordered lists and converts each group's probabilities back to integer
+// counts.
+//
+// Cancellation is cooperative: the merge loop tests ctx (nil never
+// cancels) once per cancelCheckInterval consumed entries and returns
 // ctx.Err() instead of exhausting the lists. A canceled scan never emits a
 // torn group — the check runs on group boundaries' raw entry stream, and
 // callers must discard the whole partial stream on error.

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sort"
@@ -171,7 +172,7 @@ func TestMergePartialsMatchesSMJ(t *testing.T) {
 		}
 	}
 	for _, op := range []corpus.Operator{corpus.OpAND, corpus.OpOR} {
-		want, _, err := SMJ(mkCursors(), SMJOptions{K: 4, Op: op})
+		want, _, err := runSMJ(mkCursors(), SMJOptions{K: 4, Op: op})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func TestScanGroups(t *testing.T) {
 	}
 	var got []group
 	s := NewScratch(0)
-	err := ScanGroups(cursors, s, func(id phrasedict.PhraseID, probs []float64, seen uint64) {
+	err := ScanGroupsCtx(context.Background(), cursors, s, func(id phrasedict.PhraseID, probs []float64, seen uint64) {
 		cp := make([]float64, len(probs))
 		copy(cp, probs)
 		got = append(got, group{id: id, probs: cp, seen: seen})

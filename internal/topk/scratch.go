@@ -62,7 +62,7 @@ type Scratch struct {
 	lt  loserTree
 
 	// Sharded scatter-gather reuse: the partial-result loser tree plus the
-	// per-feature count and probability buffers of MergePartials/ScanGroups.
+	// per-feature count and probability buffers of MergePartials/ScanGroupsCtx.
 	pm    partialMerger
 	sums  []uint32
 	probs []float64
@@ -304,7 +304,7 @@ func (s *Scratch) countSums(r int) []uint32 {
 	return s.sums
 }
 
-// groupProbs returns a reusable float64 buffer of length r for ScanGroups'
+// groupProbs returns a reusable float64 buffer of length r for ScanGroupsCtx'
 // per-list probabilities (validity is tracked by the seen bitmask, so the
 // buffer is not zeroed).
 func (s *Scratch) groupProbs(r int) []float64 {
@@ -352,8 +352,8 @@ func (p *ScratchPool) Put(s *Scratch) {
 	p.pool.Put(s)
 }
 
-// defaultScratchPool backs the scratch-less NRA and SMJ entry points, so
-// direct callers (CLI disk queries, tests) get pooling without wiring one.
+// defaultScratchPool backs the scratch-less NRA and MergePartials entry
+// points, so direct callers get pooling without wiring one.
 var defaultScratchPool = NewScratchPool(0)
 
 func growFloats(s []float64, n int) []float64 {

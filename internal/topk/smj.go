@@ -52,27 +52,21 @@ type SMJStats struct {
 	Candidates  int // phrases that accumulated a score
 }
 
-// SMJ runs Algorithm 2 of the paper: a sort-merge join over phrase-ID-
-// ordered list cursors (one per query feature). Unlike NRA it must consume
-// every list completely before it can rank, but its per-entry work is a
-// plain accumulation with no bound bookkeeping. Partial lists are a
-// construction-time decision — truncate before ordering by ID.
+// SMJScratch runs Algorithm 2 of the paper: a sort-merge join over
+// phrase-ID-ordered list cursors (one per query feature). Unlike NRA it
+// must consume every list completely before it can rank, but its
+// per-entry work is a plain accumulation with no bound bookkeeping.
+// Partial lists are a construction-time decision — truncate before
+// ordering by ID.
 //
 // Because the merge delivers equal phrase IDs from all lists adjacently,
 // scores are aggregated without any hash map: a running (phrase, sum,
 // listCount) accumulator is flushed whenever the merge moves to a larger
 // phrase ID.
 //
-// Merger state and the bounded selection heap come from a pooled Scratch
-// arena; callers holding one should prefer SMJScratch.
-func SMJ(cursors []plist.Cursor, opt SMJOptions) ([]Result, SMJStats, error) {
-	s := defaultScratchPool.Get()
-	defer defaultScratchPool.Put(s)
-	return SMJScratch(cursors, opt, s)
-}
-
-// SMJScratch is SMJ running on a caller-provided scratch arena. The arena
-// must not be shared with a concurrently executing query.
+// Merger state and the bounded selection heap live in the caller's
+// scratch arena, which must not be shared with a concurrently executing
+// query.
 func SMJScratch(cursors []plist.Cursor, opt SMJOptions, s *Scratch) ([]Result, SMJStats, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, SMJStats{}, err

@@ -13,6 +13,11 @@ import (
 
 // idCursorsOf converts score lists into ID-ordered memory cursors (the SMJ
 // input layout).
+// runSMJ runs SMJScratch on a fresh scratch arena.
+func runSMJ(cursors []plist.Cursor, opt SMJOptions) ([]Result, SMJStats, error) {
+	return SMJScratch(cursors, opt, NewScratch(0))
+}
+
 func idCursorsOf(lists ...plist.ScoreList) []plist.Cursor {
 	out := make([]plist.Cursor, len(lists))
 	for i, l := range lists {
@@ -23,13 +28,13 @@ func idCursorsOf(lists ...plist.ScoreList) []plist.Cursor {
 
 func TestSMJValidation(t *testing.T) {
 	c := idCursorsOf(plist.ScoreList{e(1, 0.5)})
-	if _, _, err := SMJ(c, SMJOptions{K: 0, Op: corpus.OpOR}); err == nil {
+	if _, _, err := runSMJ(c, SMJOptions{K: 0, Op: corpus.OpOR}); err == nil {
 		t.Fatal("K=0 should error")
 	}
-	if _, _, err := SMJ(nil, SMJOptions{K: 1, Op: corpus.OpOR}); err == nil {
+	if _, _, err := runSMJ(nil, SMJOptions{K: 1, Op: corpus.OpOR}); err == nil {
 		t.Fatal("no lists should error")
 	}
-	if _, _, err := SMJ(c, SMJOptions{K: 1, Op: corpus.Operator(7)}); err == nil {
+	if _, _, err := runSMJ(c, SMJOptions{K: 1, Op: corpus.Operator(7)}); err == nil {
 		t.Fatal("bad operator should error")
 	}
 }
@@ -38,7 +43,7 @@ func TestSMJBasicOR(t *testing.T) {
 	l1 := plist.ScoreList{e(1, 0.5), e(2, 0.4), e(3, 0.1)}
 	l2 := plist.ScoreList{e(2, 0.9), e(4, 0.3), e(1, 0.2)}
 	want := naiveTopK([]plist.ScoreList{l1, l2}, corpus.OpOR, 3)
-	got, stats, err := SMJ(idCursorsOf(l1, l2), SMJOptions{K: 3, Op: corpus.OpOR})
+	got, stats, err := runSMJ(idCursorsOf(l1, l2), SMJOptions{K: 3, Op: corpus.OpOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +61,7 @@ func TestSMJBasicOR(t *testing.T) {
 func TestSMJBasicAND(t *testing.T) {
 	l1 := plist.ScoreList{e(1, 0.5), e(2, 0.4), e(3, 0.1)}
 	l2 := plist.ScoreList{e(2, 0.9), e(4, 0.3), e(1, 0.2)}
-	got, _, err := SMJ(idCursorsOf(l1, l2), SMJOptions{K: 5, Op: corpus.OpAND})
+	got, _, err := runSMJ(idCursorsOf(l1, l2), SMJOptions{K: 5, Op: corpus.OpAND})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func TestSMJBasicAND(t *testing.T) {
 
 func TestSMJSingleList(t *testing.T) {
 	l := plist.ScoreList{e(9, 0.9), e(1, 0.5), e(3, 0.2)}
-	got, _, err := SMJ(idCursorsOf(l), SMJOptions{K: 2, Op: corpus.OpOR})
+	got, _, err := runSMJ(idCursorsOf(l), SMJOptions{K: 2, Op: corpus.OpOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,7 @@ func TestSMJSingleList(t *testing.T) {
 }
 
 func TestSMJEmptyLists(t *testing.T) {
-	got, stats, err := SMJ(idCursorsOf(nil, nil), SMJOptions{K: 3, Op: corpus.OpOR})
+	got, stats, err := runSMJ(idCursorsOf(nil, nil), SMJOptions{K: 3, Op: corpus.OpOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +108,7 @@ func TestSMJMatchesNaiveRandomized(t *testing.T) {
 		}
 		k := 1 + rng.Intn(8)
 		want := naiveTopK(lists, op, k)
-		got, _, err := SMJ(idCursorsOf(lists...), SMJOptions{K: k, Op: op})
+		got, _, err := runSMJ(idCursorsOf(lists...), SMJOptions{K: k, Op: op})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +136,7 @@ func TestSMJAgreesWithNRA(t *testing.T) {
 			op = corpus.OpAND
 		}
 		k := 1 + rng.Intn(6)
-		smj, _, err := SMJ(idCursorsOf(lists...), SMJOptions{K: k, Op: op})
+		smj, _, err := runSMJ(idCursorsOf(lists...), SMJOptions{K: k, Op: op})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +167,7 @@ func TestSMJAgreesWithNRAOnPartialLists(t *testing.T) {
 		for i, l := range lists {
 			trunc[i] = l.Truncate(frac)
 		}
-		smj, _, err := SMJ(idCursorsOf(trunc...), SMJOptions{K: k, Op: op})
+		smj, _, err := runSMJ(idCursorsOf(trunc...), SMJOptions{K: k, Op: op})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +189,7 @@ func TestSMJAgreesWithNRAOnPartialLists(t *testing.T) {
 func TestSMJTieBreaking(t *testing.T) {
 	// Phrases 5 and 3 tie on score; 3 must rank first (ascending ID).
 	l := plist.ScoreList{e(5, 0.5), e(3, 0.5), e(1, 0.1)}
-	got, _, err := SMJ(idCursorsOf(l), SMJOptions{K: 3, Op: corpus.OpOR})
+	got, _, err := runSMJ(idCursorsOf(l), SMJOptions{K: 3, Op: corpus.OpOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +204,11 @@ func TestSMJSecondOrderORKnownValues(t *testing.T) {
 	//   second-order S2 = 0.8 - 0.5*0.3 = 0.65
 	l1 := plist.ScoreList{e(1, 0.5)}
 	l2 := plist.ScoreList{e(1, 0.3)}
-	first, _, err := SMJ(idCursorsOf(l1, l2), SMJOptions{K: 1, Op: corpus.OpOR})
+	first, _, err := runSMJ(idCursorsOf(l1, l2), SMJOptions{K: 1, Op: corpus.OpOR})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := SMJ(idCursorsOf(l1, l2), SMJOptions{K: 1, Op: corpus.OpOR, SecondOrderOR: true})
+	second, _, err := runSMJ(idCursorsOf(l1, l2), SMJOptions{K: 1, Op: corpus.OpOR, SecondOrderOR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +225,7 @@ func TestSMJSecondOrderThreeLists(t *testing.T) {
 	l1 := plist.ScoreList{e(7, 0.5)}
 	l2 := plist.ScoreList{e(7, 0.4)}
 	l3 := plist.ScoreList{e(7, 0.2)}
-	got, _, err := SMJ(idCursorsOf(l1, l2, l3), SMJOptions{K: 1, Op: corpus.OpOR, SecondOrderOR: true})
+	got, _, err := runSMJ(idCursorsOf(l1, l2, l3), SMJOptions{K: 1, Op: corpus.OpOR, SecondOrderOR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +243,11 @@ func TestSMJSecondOrderProperty(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		lists := randomLists(rng, 2+rng.Intn(4), 50, 40)
 		const bigK = 1000
-		s1, _, err := SMJ(idCursorsOf(lists...), SMJOptions{K: bigK, Op: corpus.OpOR})
+		s1, _, err := runSMJ(idCursorsOf(lists...), SMJOptions{K: bigK, Op: corpus.OpOR})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, _, err := SMJ(idCursorsOf(lists...), SMJOptions{K: bigK, Op: corpus.OpOR, SecondOrderOR: true})
+		s2, _, err := runSMJ(idCursorsOf(lists...), SMJOptions{K: bigK, Op: corpus.OpOR, SecondOrderOR: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,8 +267,8 @@ func TestSMJSecondOrderProperty(t *testing.T) {
 	}
 	// Single list: no pairs, S2 == S1.
 	single := randomLists(rand.New(rand.NewSource(7)), 1, 30, 25)
-	a, _, _ := SMJ(idCursorsOf(single...), SMJOptions{K: 50, Op: corpus.OpOR})
-	b, _, _ := SMJ(idCursorsOf(single...), SMJOptions{K: 50, Op: corpus.OpOR, SecondOrderOR: true})
+	a, _, _ := runSMJ(idCursorsOf(single...), SMJOptions{K: 50, Op: corpus.OpOR})
+	b, _, _ := runSMJ(idCursorsOf(single...), SMJOptions{K: 50, Op: corpus.OpOR, SecondOrderOR: true})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("single-list S1 and S2 disagree")
 	}

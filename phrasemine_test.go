@@ -274,6 +274,56 @@ func TestFacetQueries(t *testing.T) {
 	}
 }
 
+// TestFacetQueriesAnyCase checks that a facet is matched whatever case
+// its document or its query wrote — in the built index, in the pending
+// delta, and after a flush folds the delta in.
+func TestFacetQueriesAnyCase(t *testing.T) {
+	var docs []Document
+	for i := 0; i < 20; i++ {
+		docs = append(docs,
+			Document{Text: "earnings growth quarterly report strong earnings growth", Facets: map[string]string{"Venue": "SIGMOD"}},
+			Document{Text: "protein expression bacteria binding protein study", Facets: map[string]string{"venue": "vldb"}})
+	}
+	m, err := NewMinerFromDocuments(docs, Config{MinDocFreq: 3, MaxPhraseWords: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	check := func(stage string) {
+		t.Helper()
+		want, err := m.Mine([]string{"venue:sigmod"}, OR, QueryOptions{K: 5, Algorithm: AlgoSMJ})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: venue:sigmod answered nothing", stage)
+		}
+		for _, kw := range []string{Facet("Venue", "SIGMOD"), "VENUE:sigmod"} {
+			got, err := m.Mine([]string{kw}, OR, QueryOptions{K: 5, Algorithm: AlgoSMJ})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %q answered %v, venue:sigmod answered %v", stage, kw, got, want)
+			}
+		}
+		if res, err := m.Mine([]string{Facet("VENUE", "VLDB")}, OR, QueryOptions{K: 5, Algorithm: AlgoSMJ}); err != nil || len(res) == 0 {
+			t.Fatalf("%s: VENUE:VLDB = %v, %v", stage, res, err)
+		}
+	}
+	check("built")
+	for i := 0; i < 5; i++ {
+		if err := m.Add(Document{Text: "earnings growth quarterly outlook", Facets: map[string]string{"VENUE": "Sigmod"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("pending")
+	if err := m.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed")
+}
+
 func TestIncrementalAddAndFlush(t *testing.T) {
 	m := newTestMiner(t)
 	if m.PendingUpdates() != 0 {

@@ -415,7 +415,7 @@ func TestWALShardedCheckpointRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := diskio.WriteFileAtomic(filepath.Join(root, name), raw, 0o644); err != nil {
+			if err := diskio.WriteFileAtomicFS(faultfs.OS{}, filepath.Join(root, name), raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
